@@ -14,9 +14,19 @@
 //!   the snapshot with **no further synchronization**, for as long as
 //!   they like;
 //! * a single writer (serialized by an internal mutex, so any thread may
-//!   call the mutation methods) applies mutations to a **staged copy**
-//!   and *publishes* a new epoch atomically — a pointer swap under a
+//!   call the mutation methods) applies mutations to a **staged set** and
+//!   *publishes* it by moving it into the cell — a pointer swap under a
 //!   write lock held for nanoseconds;
+//! * publication is **reclaim-and-replay** (a left-right double buffer):
+//!   the epoch a publish displaces becomes the writer's *spare* once its
+//!   last reader pin drops. The next mutation takes the spare back,
+//!   replays the records logged since it was current — the same
+//!   deterministic apply WAL recovery relies on — and goes on from there,
+//!   so a write costs the rows it touches, not a copy of the whole set.
+//!   When a reader still pins the spare, or a change that is no logged
+//!   record broke the log (a compaction, or a quantization change that
+//!   moved a policy), the writer clones the current epoch instead; it
+//!   never waits for a reader. [`EpochStats`] counts both paths;
 //! * retired epochs park on a reclamation list until the last reader
 //!   pins drop — a **grace period** enforced by `Arc` reference counts,
 //!   observable through [`EpochStats`].
@@ -25,7 +35,8 @@
 //! *E + 1*: an answer computed against a snapshot is bit-identical to
 //! single-threaded execution against the state at publish time (the
 //! proptests in `tests/concurrent_proptests.rs` hold this across random
-//! interleavings).
+//! interleavings, and check every published epoch's persisted bytes
+//! against a single-threaded twin).
 //!
 //! [`ConcurrentDurablePlanarIndexSet`] composes the epoch scheme with the
 //! **group-commit** write-ahead log (`core::wal::GroupCommitQueue`):
@@ -55,7 +66,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::multi::PlanarIndexSet;
 use crate::persist::{RecoveryReport, SaveOptions, ShardedRecoveryReport};
@@ -78,8 +89,9 @@ use crate::{PlanarError, Result};
 pub struct ConcurrencyConfig {
     /// Publish a new epoch after this many staged mutations (default 1:
     /// every mutation is immediately visible to new snapshots). Larger
-    /// values amortize the staged-copy clone that each publish takes, at
-    /// the cost of bounded snapshot staleness; batch mutations
+    /// values bound how many records each publish's spare must replay
+    /// (and how often a pinned spare forces a fallback clone), at the cost
+    /// of bounded snapshot staleness; batch mutations
     /// ([`ConcurrentPlanarIndexSet::apply_batch`]) always publish at the
     /// end of the batch.
     pub publish_every: usize,
@@ -147,18 +159,60 @@ pub struct EpochStats {
     /// Retired epochs still parked in their grace period (a reader pin
     /// keeps them alive).
     pub retired_live: usize,
-    /// Retired epochs reclaimed after their grace period ended.
+    /// Retired epochs reclaimed after their grace period ended (freed, or
+    /// kept as the writer's spare).
     pub reclaimed: u64,
-    /// Copy-on-publish clones of the staged set over the cell's lifetime.
-    /// Together with `clone_bytes`/`clone_micros` this measures the
-    /// write-path ceiling: every publish deep-copies the whole set today,
-    /// and a future dirty-shard republish must beat these numbers.
+    /// Fallback full clones of the current epoch: the writer's first
+    /// change, and any change whose spare was still pinned or whose log a
+    /// non-record change broke.
     pub clones: u64,
-    /// Heap bytes deep-copied by those clones (the staged set's reported
+    /// Heap bytes deep-copied by those clones (the cloned set's reported
     /// memory usage at clone time).
     pub clone_bytes: u64,
     /// Wall-clock microseconds spent inside those clones.
     pub clone_micros: u64,
+    /// Spares reclaimed and brought up to date by replaying the log.
+    pub replays: u64,
+    /// Records replayed onto those spares.
+    pub replayed_records: u64,
+    /// Wall-clock microseconds spent replaying.
+    pub replay_micros: u64,
+}
+
+/// Count, volume and time of one kind of writer catch-up work.
+#[derive(Debug, Default)]
+struct Ledger {
+    count: AtomicU64,
+    volume: AtomicU64,
+    nanos: AtomicU64,
+}
+
+impl Ledger {
+    fn record(&self, volume: usize, elapsed: Duration) {
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.volume.fetch_add(volume as u64, Ordering::Relaxed);
+        self.nanos
+            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+    }
+
+    fn read(&self) -> (u64, u64, u64) {
+        (
+            self.count.load(Ordering::Relaxed),
+            self.volume.load(Ordering::Relaxed),
+            self.nanos.load(Ordering::Relaxed) / 1_000,
+        )
+    }
+}
+
+/// Retired epochs in their grace period, plus the writer's spare.
+#[derive(Debug)]
+struct Retired<T> {
+    pinned: Vec<Arc<Versioned<T>>>,
+    /// The epoch the last publish displaced, when its publisher asked to
+    /// reuse it.
+    spare_epoch: Option<u64>,
+    /// That epoch's state, once its grace period ended.
+    spare: Option<T>,
 }
 
 /// The publish/retire/reclaim core: an atomically swappable `Arc` plus a
@@ -171,12 +225,11 @@ pub struct EpochStats {
 #[derive(Debug)]
 pub struct EpochCell<T> {
     current: RwLock<Arc<Versioned<T>>>,
-    retired: Mutex<Vec<Arc<Versioned<T>>>>,
+    retired: Mutex<Retired<T>>,
     published: AtomicU64,
     reclaimed: AtomicU64,
-    clones: AtomicU64,
-    clone_bytes: AtomicU64,
-    clone_nanos: AtomicU64,
+    clones: Ledger,
+    replays: Ledger,
 }
 
 impl<T> EpochCell<T> {
@@ -184,26 +237,35 @@ impl<T> EpochCell<T> {
     pub fn new(value: T) -> Self {
         Self {
             current: RwLock::new(Arc::new(Versioned { epoch: 1, value })),
-            retired: Mutex::new(Vec::new()),
+            retired: Mutex::new(Retired {
+                pinned: Vec::new(),
+                spare_epoch: None,
+                spare: None,
+            }),
             published: AtomicU64::new(0),
             reclaimed: AtomicU64::new(0),
-            clones: AtomicU64::new(0),
-            clone_bytes: AtomicU64::new(0),
-            clone_nanos: AtomicU64::new(0),
+            clones: Ledger::default(),
+            replays: Ledger::default(),
         }
     }
 
-    /// Record one copy-on-publish clone's cost (called by the wrappers,
-    /// which know how to measure their set's heap footprint).
-    pub fn record_clone(&self, bytes: usize, elapsed: std::time::Duration) {
-        self.clones.fetch_add(1, Ordering::Relaxed);
-        self.clone_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.clone_nanos
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+    /// Record one full clone's cost (called by the wrappers, which know
+    /// how to measure their set's heap footprint).
+    pub fn record_clone(&self, bytes: usize, elapsed: Duration) {
+        self.clones.record(bytes, elapsed);
+    }
+
+    /// Record one spare replay's cost: how many records it re-applied.
+    fn record_replay(&self, records: usize, elapsed: Duration) {
+        self.replays.record(records, elapsed);
     }
 
     fn read_current(&self) -> Arc<Versioned<T>> {
         Arc::clone(&self.current.read().unwrap_or_else(|e| e.into_inner()))
+    }
+
+    fn lock_retired(&self) -> MutexGuard<'_, Retired<T>> {
+        self.retired.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Pin the current epoch.
@@ -217,49 +279,303 @@ impl<T> EpochCell<T> {
     /// previous epoch into its grace period, and opportunistically reclaim
     /// anything whose grace period already ended. Returns the new epoch.
     pub fn publish(&self, value: T) -> u64 {
-        let old = {
-            let mut cur = self.current.write().unwrap_or_else(|e| e.into_inner());
-            let epoch = cur.epoch + 1;
-            std::mem::replace(&mut *cur, Arc::new(Versioned { epoch, value }))
-        };
-        self.published.fetch_add(1, Ordering::Relaxed);
-        let mut retired = self.retired.lock().unwrap_or_else(|e| e.into_inner());
-        retired.push(old);
-        self.reclaim_locked(&mut retired);
-        self.current.read().unwrap_or_else(|e| e.into_inner()).epoch
+        self.publish_keeping(value, false)
     }
 
-    fn reclaim_locked(&self, retired: &mut Vec<Arc<Versioned<T>>>) -> usize {
-        let before = retired.len();
-        // A strong count of 1 means the retire list holds the only
-        // reference: no reader can mint a new pin from it (pins come only
-        // from `current`), so the grace period is over and dropping it
-        // here frees the epoch.
-        retired.retain(|arc| Arc::strong_count(arc) > 1);
-        let freed = before - retired.len();
+    /// [`Self::publish`], optionally keeping the displaced epoch as the
+    /// spare [`Self::take_spare`] hands back once no reader pins it.
+    fn publish_keeping(&self, value: T, keep_spare: bool) -> u64 {
+        let (epoch, old) = {
+            let mut cur = self.current.write().unwrap_or_else(|e| e.into_inner());
+            let epoch = cur.epoch + 1;
+            let old = std::mem::replace(&mut *cur, Arc::new(Versioned { epoch, value }));
+            (epoch, old)
+        };
+        self.published.fetch_add(1, Ordering::Relaxed);
+        let mut retired = self.lock_retired();
+        retired.spare_epoch = keep_spare.then_some(old.epoch);
+        // A spare nobody took is one epoch too old for the new log.
+        retired.spare = None;
+        retired.pinned.push(old);
+        self.reclaim_locked(&mut retired);
+        epoch
+    }
+
+    fn reclaim_locked(&self, retired: &mut Retired<T>) -> usize {
+        let mut freed = 0;
+        for arc in std::mem::take(&mut retired.pinned) {
+            // Unwrapping succeeds only when the retire list holds the only
+            // reference: no reader can mint a new pin from it (pins come
+            // only from `current`), so the grace period is over.
+            match Arc::try_unwrap(arc) {
+                Ok(v) => {
+                    freed += 1;
+                    if retired.spare_epoch == Some(v.epoch) {
+                        retired.spare = Some(v.value);
+                    }
+                }
+                Err(arc) => retired.pinned.push(arc),
+            }
+        }
         self.reclaimed.fetch_add(freed as u64, Ordering::Relaxed);
         freed
+    }
+
+    /// Hand the writer the epoch the last publish displaced, if it was
+    /// kept and no reader pins it any more. Asked at most once per
+    /// publish: a spare still pinned now is left to its grace period.
+    fn take_spare(&self) -> Option<T> {
+        let mut retired = self.lock_retired();
+        self.reclaim_locked(&mut retired);
+        retired.spare_epoch = None;
+        retired.spare.take()
     }
 
     /// Sweep the retired list now, returning how many epochs were freed.
     /// (Publishes sweep opportunistically; this is for quiescent periods.)
     pub fn reclaim(&self) -> usize {
-        let mut retired = self.retired.lock().unwrap_or_else(|e| e.into_inner());
+        let mut retired = self.lock_retired();
         self.reclaim_locked(&mut retired)
     }
 
     /// Current epoch bookkeeping.
     pub fn stats(&self) -> EpochStats {
-        let retired_live = self.retired.lock().unwrap_or_else(|e| e.into_inner()).len();
+        let retired_live = self.lock_retired().pinned.len();
+        let (clones, clone_bytes, clone_micros) = self.clones.read();
+        let (replays, replayed_records, replay_micros) = self.replays.read();
         EpochStats {
             epoch: self.read_current().epoch,
             published: self.published.load(Ordering::Relaxed),
             retired_live,
             reclaimed: self.reclaimed.load(Ordering::Relaxed),
-            clones: self.clones.load(Ordering::Relaxed),
-            clone_bytes: self.clone_bytes.load(Ordering::Relaxed),
-            clone_micros: self.clone_nanos.load(Ordering::Relaxed) / 1_000,
+            clones,
+            clone_bytes,
+            clone_micros,
+            replays,
+            replayed_records,
+            replay_micros,
         }
+    }
+
+    /// Consume the cell, returning the current epoch's state (cloned when
+    /// a reader still pins it).
+    fn into_current(self) -> T
+    where
+        T: Clone,
+    {
+        let arc = self.current.into_inner().unwrap_or_else(|e| e.into_inner());
+        Arc::try_unwrap(arc).map_or_else(|arc| arc.value.clone(), |v| v.value)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Epoch writer: reclaim-and-replay publication
+// ---------------------------------------------------------------------------
+
+/// The index sets an [`EpochWriter`] stages: applied to and replayed
+/// through the same record logic WAL recovery uses.
+trait EpochSet: Clone {
+    /// Apply one validated point mutation.
+    fn apply(&mut self, rec: &WalRecord) -> Result<MutationAck>;
+    /// Re-apply one logged record, applied first on `shard`.
+    fn replay(&mut self, shard: usize, rec: &WalRecord) -> Result<()>;
+    /// Heap bytes, charged to the clone ledger.
+    fn heap_bytes(&self) -> usize;
+    /// Start a fresh quantization observation window.
+    fn reset_quant_window(&self);
+    /// The quantization policy of each shard (one for an unsharded set).
+    fn quant_policies(&self) -> Vec<crate::quant::QuantPolicy>;
+}
+
+impl<S: KeyStore + Clone> EpochSet for PlanarIndexSet<S> {
+    fn apply(&mut self, rec: &WalRecord) -> Result<MutationAck> {
+        apply_planar_record(self, rec)
+    }
+
+    fn replay(&mut self, _shard: usize, rec: &WalRecord) -> Result<()> {
+        apply_planar_record(self, rec).map(drop)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.memory_usage()
+    }
+
+    fn reset_quant_window(&self) {
+        PlanarIndexSet::reset_quant_window(self);
+    }
+
+    fn quant_policies(&self) -> Vec<crate::quant::QuantPolicy> {
+        vec![self.quant_policy()]
+    }
+}
+
+impl<S: KeyStore + Clone> EpochSet for ShardedIndexSet<S> {
+    fn apply(&mut self, rec: &WalRecord) -> Result<MutationAck> {
+        apply_sharded_record(self, rec)
+    }
+
+    fn replay(&mut self, shard: usize, rec: &WalRecord) -> Result<()> {
+        self.replay_record(shard, 0, rec)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.memory_usage()
+    }
+
+    fn reset_quant_window(&self) {
+        ShardedIndexSet::reset_quant_window(self);
+    }
+
+    fn quant_policies(&self) -> Vec<crate::quant::QuantPolicy> {
+        ShardedIndexSet::quant_policies(self)
+    }
+}
+
+/// A logged change to the staged set: the shard it applied to (0 for an
+/// unsharded set) and its record.
+type Logged = (usize, WalRecord);
+
+/// The single writer's side of an [`EpochCell`]: the staged next epoch,
+/// and the record logs that let a displaced epoch be reused instead of
+/// cloning the current one on every publish.
+#[derive(Debug)]
+struct EpochWriter<T> {
+    /// The next epoch under construction; `None` until the first change
+    /// after a publish.
+    staged: Option<T>,
+    /// Records applied to `staged` since the current epoch; `None` once a
+    /// change the log cannot replay touched it.
+    pending: Option<Vec<Logged>>,
+    /// Records that turn the cell's spare into the current epoch; `None`
+    /// when no spare was kept.
+    log: Option<Vec<Logged>>,
+    /// Mutations staged since the last publish.
+    dirty: usize,
+    publish_every: usize,
+}
+
+impl<T: EpochSet> EpochWriter<T> {
+    fn new(cfg: ConcurrencyConfig) -> Self {
+        Self {
+            staged: None,
+            pending: None,
+            log: None,
+            dirty: 0,
+            publish_every: cfg.publish_every.max(1),
+        }
+    }
+
+    /// The staged set, materialized on the first change after a publish.
+    fn stage(&mut self, cell: &EpochCell<T>) -> &mut T {
+        if self.staged.is_none() {
+            self.staged = Some(self.materialize(cell));
+            self.pending = Some(Vec::new());
+        }
+        self.staged.as_mut().expect("materialized above")
+    }
+
+    /// A private copy of the current epoch: the spare with the log
+    /// replayed onto it, or a clone when the spare is pinned or no log
+    /// exists. Either way the copy starts a fresh quantization window, so
+    /// an epoch's window counts only the reads made against it.
+    fn materialize(&mut self, cell: &EpochCell<T>) -> T {
+        if let Some(log) = self.log.take() {
+            if let Some(mut spare) = cell.take_spare() {
+                let start = Instant::now();
+                // Reset first: a replayed compaction retunes from the
+                // window, which was empty when it first ran.
+                spare.reset_quant_window();
+                if log
+                    .iter()
+                    .all(|(shard, rec)| spare.replay(*shard, rec).is_ok())
+                {
+                    cell.record_replay(log.len(), start.elapsed());
+                    return spare;
+                }
+                debug_assert!(false, "a logged record failed to replay onto the spare");
+            }
+        }
+        let current = cell.load();
+        let start = Instant::now();
+        let copy = T::clone(&current);
+        cell.record_clone(current.heap_bytes(), start.elapsed());
+        copy.reset_quant_window();
+        copy
+    }
+
+    /// Read the latest state: staged if any, else the current epoch.
+    fn read<R>(&self, cell: &EpochCell<T>, f: impl FnOnce(&T) -> R) -> R {
+        match &self.staged {
+            Some(set) => f(set),
+            None => f(&cell.load()),
+        }
+    }
+
+    /// Log a mutation already applied to the staged set.
+    fn record(&mut self, shard: usize, rec: WalRecord) {
+        if let Some(pending) = &mut self.pending {
+            pending.push((shard, rec));
+        }
+        self.dirty += 1;
+    }
+
+    /// Apply a validated point mutation to the staged set and log it.
+    fn apply(&mut self, cell: &EpochCell<T>, shard: usize, rec: WalRecord) -> Result<MutationAck> {
+        let res = self.stage(cell).apply(&rec);
+        match &res {
+            Ok(_) => self.record(shard, rec),
+            // A failed pre-validated apply may have changed part of the set.
+            Err(_) => self.pending = None,
+        }
+        res
+    }
+
+    /// The staged set, for a change the log cannot replay (compaction):
+    /// the next publish keeps no spare.
+    fn unlogged(&mut self, cell: &EpochCell<T>) -> &mut T {
+        self.stage(cell);
+        self.pending = None;
+        self.staged.as_mut().expect("staged above")
+    }
+
+    /// Run a quantization change (policy, retune) on the staged set. It
+    /// breaks the log only when it changed a policy: otherwise it reset
+    /// no more than the observation window, which a replayed spare
+    /// starts empty anyway.
+    fn requantize<R>(&mut self, cell: &EpochCell<T>, f: impl FnOnce(&mut T) -> R) -> R {
+        let set = self.stage(cell);
+        let before = set.quant_policies();
+        let out = f(&mut *set);
+        if set.quant_policies() != before {
+            self.pending = None;
+        }
+        out
+    }
+
+    /// Publish once [`ConcurrencyConfig::publish_every`] mutations are staged.
+    fn settle(&mut self, cell: &EpochCell<T>) {
+        if self.dirty >= self.publish_every {
+            self.publish(cell);
+        }
+    }
+
+    /// Move the staged set into the cell as the next epoch. The displaced
+    /// epoch becomes the spare when the pending log can rebuild it.
+    fn publish(&mut self, cell: &EpochCell<T>) -> u64 {
+        self.stage(cell);
+        let set = self.staged.take().expect("staged above");
+        self.log = self.pending.take();
+        self.dirty = 0;
+        cell.publish_keeping(set, self.log.is_some())
+    }
+
+    /// The latest state, consuming writer and cell.
+    fn into_latest(self, cell: EpochCell<T>) -> T {
+        self.staged.unwrap_or_else(|| {
+            let set = cell.into_current();
+            set.reset_quant_window();
+            set
+        })
     }
 }
 
@@ -267,46 +583,25 @@ impl<T> EpochCell<T> {
 // Concurrent planar set (in-memory)
 // ---------------------------------------------------------------------------
 
-#[derive(Debug)]
-struct Staged<T> {
-    set: T,
-    dirty: usize,
-}
-
-/// Deep-copy the staged set for publication, charging the clone's bytes
-/// and wall-clock cost to the cell's ledger (see [`EpochStats::clones`]).
-fn timed_clone<T: Clone>(cell: &EpochCell<T>, set: &T, bytes: usize) -> T {
-    let start = Instant::now();
-    let copy = set.clone();
-    cell.record_clone(bytes, start.elapsed());
-    copy
-}
-
 /// A [`PlanarIndexSet`] behind an [`EpochCell`]: lock-free snapshot reads
 /// from any number of threads, mutations from any thread serialized by an
 /// internal writer mutex. See the module docs for the epoch lifecycle.
 #[derive(Debug)]
 pub struct ConcurrentPlanarIndexSet<S: KeyStore + Clone = VecStore> {
     cell: EpochCell<PlanarIndexSet<S>>,
-    writer: Mutex<Staged<PlanarIndexSet<S>>>,
-    publish_every: usize,
+    writer: Mutex<EpochWriter<PlanarIndexSet<S>>>,
 }
 
 impl<S: KeyStore + Clone> ConcurrentPlanarIndexSet<S> {
     /// Wrap `set` for concurrent serving.
     pub fn new(set: PlanarIndexSet<S>, cfg: ConcurrencyConfig) -> Self {
-        let staged = set.clone();
         Self {
             cell: EpochCell::new(set),
-            writer: Mutex::new(Staged {
-                set: staged,
-                dirty: 0,
-            }),
-            publish_every: cfg.publish_every.max(1),
+            writer: Mutex::new(EpochWriter::new(cfg)),
         }
     }
 
-    fn lock_writer(&self) -> MutexGuard<'_, Staged<PlanarIndexSet<S>>> {
+    fn lock_writer(&self) -> MutexGuard<'_, EpochWriter<PlanarIndexSet<S>>> {
         self.writer.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -317,17 +612,6 @@ impl<S: KeyStore + Clone> ConcurrentPlanarIndexSet<S> {
         self.cell.load()
     }
 
-    fn maybe_publish(&self, staged: &mut Staged<PlanarIndexSet<S>>) {
-        if staged.dirty >= self.publish_every {
-            self.cell.publish(timed_clone(
-                &self.cell,
-                &staged.set,
-                staged.set.memory_usage(),
-            ));
-            staged.dirty = 0;
-        }
-    }
-
     /// Serialized insert; publishes per [`ConcurrencyConfig::publish_every`].
     ///
     /// # Errors
@@ -335,9 +619,15 @@ impl<S: KeyStore + Clone> ConcurrentPlanarIndexSet<S> {
     /// See [`PlanarIndexSet::insert_point`].
     pub fn insert_point(&self, row: &[f64]) -> Result<PointId> {
         let mut w = self.lock_writer();
-        let id = w.set.insert_point(row)?;
-        w.dirty += 1;
-        self.maybe_publish(&mut w);
+        let id = w.stage(&self.cell).insert_point(row)?;
+        w.record(
+            0,
+            WalRecord::Insert {
+                id,
+                row: row.to_vec(),
+            },
+        );
+        w.settle(&self.cell);
         Ok(id)
     }
 
@@ -348,9 +638,15 @@ impl<S: KeyStore + Clone> ConcurrentPlanarIndexSet<S> {
     /// See [`PlanarIndexSet::update_point`].
     pub fn update_point(&self, id: PointId, row: &[f64]) -> Result<()> {
         let mut w = self.lock_writer();
-        w.set.update_point(id, row)?;
-        w.dirty += 1;
-        self.maybe_publish(&mut w);
+        w.stage(&self.cell).update_point(id, row)?;
+        w.record(
+            0,
+            WalRecord::Update {
+                id,
+                row: row.to_vec(),
+            },
+        );
+        w.settle(&self.cell);
         Ok(())
     }
 
@@ -361,9 +657,9 @@ impl<S: KeyStore + Clone> ConcurrentPlanarIndexSet<S> {
     /// See [`PlanarIndexSet::delete_point`].
     pub fn delete_point(&self, id: PointId) -> Result<()> {
         let mut w = self.lock_writer();
-        w.set.delete_point(id)?;
-        w.dirty += 1;
-        self.maybe_publish(&mut w);
+        w.stage(&self.cell).delete_point(id)?;
+        w.record(0, WalRecord::Delete { id });
+        w.settle(&self.cell);
         Ok(())
     }
 
@@ -374,20 +670,19 @@ impl<S: KeyStore + Clone> ConcurrentPlanarIndexSet<S> {
     /// # Errors
     ///
     /// Validation errors before anything is applied (the batch is
-    /// all-or-nothing against the staged copy).
+    /// all-or-nothing against the staged set).
     pub fn apply_batch(&self, muts: &[Mutation]) -> Result<Vec<MutationAck>> {
         let mut w = self.lock_writer();
-        let next_id = w.set.table().len() as PointId;
-        let records = validate_batch(w.set.dim(), next_id, |id| w.set.is_live(id), muts)?;
+        let records = w.read(&self.cell, |set| {
+            let next_id = set.table().len() as PointId;
+            validate_batch(set.dim(), next_id, |id| set.is_live(id), muts)
+        })?;
         let mut acks = Vec::with_capacity(records.len());
-        for rec in &records {
-            acks.push(apply_planar_record(&mut w.set, rec)?);
+        for rec in records {
+            acks.push(w.apply(&self.cell, 0, rec)?);
         }
-        if !records.is_empty() {
-            w.dirty += records.len();
-            self.cell
-                .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-            w.dirty = 0;
+        if !acks.is_empty() {
+            w.publish(&self.cell);
         }
         Ok(acks)
     }
@@ -396,22 +691,20 @@ impl<S: KeyStore + Clone> ConcurrentPlanarIndexSet<S> {
     /// [`PlanarIndexSet::compact`]); always publishes.
     pub fn compact(&self) -> Vec<Option<PointId>> {
         let mut w = self.lock_writer();
-        // Reader observations land on the published epoch's tuner clone;
-        // fold them in so compact's internal retune sees the workload.
-        let snap = self.snapshot();
-        w.set.adopt_quant_window(&snap);
-        drop(snap);
-        let remap = w.set.compact();
-        self.cell
-            .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-        w.dirty = 0;
+        let set = w.unlogged(&self.cell);
+        // Reader observations land on the published epoch's tuner; fold
+        // them in so compact's internal retune sees the workload.
+        set.adopt_quant_window(&self.snapshot());
+        let remap = set.compact();
+        w.publish(&self.cell);
         remap
     }
 
-    /// The quantization policy active on the staged writer state (the
+    /// The quantization policy active on the latest writer state (the
     /// next publish carries it to readers).
     pub fn quant_policy(&self) -> crate::quant::QuantPolicy {
-        self.lock_writer().set.quant_policy()
+        self.lock_writer()
+            .read(&self.cell, PlanarIndexSet::quant_policy)
     }
 
     /// Install a quantization policy (see
@@ -419,10 +712,8 @@ impl<S: KeyStore + Clone> ConcurrentPlanarIndexSet<S> {
     /// get the re-encoded mirror immediately.
     pub fn set_quant_policy(&self, policy: crate::quant::QuantPolicy) {
         let mut w = self.lock_writer();
-        w.set.set_quant_policy(policy);
-        self.cell
-            .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-        w.dirty = 0;
+        w.requantize(&self.cell, |set| set.set_quant_policy(policy));
+        w.publish(&self.cell);
     }
 
     /// Fold reader observations into the staged tuner, retune (see
@@ -432,25 +723,18 @@ impl<S: KeyStore + Clone> ConcurrentPlanarIndexSet<S> {
         cfg: &crate::quant::QuantAutotuneConfig,
     ) -> crate::quant::QuantPolicy {
         let mut w = self.lock_writer();
-        let snap = self.snapshot();
-        w.set.adopt_quant_window(&snap);
-        drop(snap);
-        let policy = w.set.retune_quantization(cfg);
-        self.cell
-            .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-        w.dirty = 0;
+        let policy = w.requantize(&self.cell, |set| {
+            set.adopt_quant_window(&self.snapshot());
+            set.retune_quantization(cfg)
+        });
+        w.publish(&self.cell);
         policy
     }
 
     /// Publish the staged state now, regardless of the dirty counter.
     /// Returns the published epoch.
     pub fn publish(&self) -> u64 {
-        let mut w = self.lock_writer();
-        let epoch = self
-            .cell
-            .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-        w.dirty = 0;
-        epoch
+        self.lock_writer().publish(&self.cell)
     }
 
     /// Sweep retired epochs whose grace period ended.
@@ -458,7 +742,8 @@ impl<S: KeyStore + Clone> ConcurrentPlanarIndexSet<S> {
         self.cell.reclaim()
     }
 
-    /// Epoch bookkeeping (publish count, grace-period population).
+    /// Epoch bookkeeping (publish count, grace-period population, clone
+    /// and replay ledgers).
     pub fn epoch_stats(&self) -> EpochStats {
         self.cell.stats()
     }
@@ -509,42 +794,25 @@ fn internal_apply(e: PlanarError) -> PlanarError {
 #[derive(Debug)]
 pub struct ConcurrentShardedIndexSet<S: KeyStore + Clone = VecStore> {
     cell: EpochCell<ShardedIndexSet<S>>,
-    writer: Mutex<Staged<ShardedIndexSet<S>>>,
-    publish_every: usize,
+    writer: Mutex<EpochWriter<ShardedIndexSet<S>>>,
 }
 
 impl<S: KeyStore + Clone> ConcurrentShardedIndexSet<S> {
     /// Wrap `set` for concurrent serving.
     pub fn new(set: ShardedIndexSet<S>, cfg: ConcurrencyConfig) -> Self {
-        let staged = set.clone();
         Self {
             cell: EpochCell::new(set),
-            writer: Mutex::new(Staged {
-                set: staged,
-                dirty: 0,
-            }),
-            publish_every: cfg.publish_every.max(1),
+            writer: Mutex::new(EpochWriter::new(cfg)),
         }
     }
 
-    fn lock_writer(&self) -> MutexGuard<'_, Staged<ShardedIndexSet<S>>> {
+    fn lock_writer(&self) -> MutexGuard<'_, EpochWriter<ShardedIndexSet<S>>> {
         self.writer.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Pin the current epoch for reading.
     pub fn snapshot(&self) -> Snapshot<ShardedIndexSet<S>> {
         self.cell.load()
-    }
-
-    fn maybe_publish(&self, staged: &mut Staged<ShardedIndexSet<S>>) {
-        if staged.dirty >= self.publish_every {
-            self.cell.publish(timed_clone(
-                &self.cell,
-                &staged.set,
-                staged.set.memory_usage(),
-            ));
-            staged.dirty = 0;
-        }
     }
 
     /// Serialized insert routed by the partitioner. See
@@ -555,9 +823,17 @@ impl<S: KeyStore + Clone> ConcurrentShardedIndexSet<S> {
     /// See [`ShardedIndexSet::insert_point`].
     pub fn insert_point(&self, row: &[f64]) -> Result<PointId> {
         let mut w = self.lock_writer();
-        let id = w.set.insert_point(row)?;
-        w.dirty += 1;
-        self.maybe_publish(&mut w);
+        let set = w.stage(&self.cell);
+        let id = set.insert_point(row)?;
+        let shard = set.shard_of(id).expect("a fresh insert is live");
+        w.record(
+            shard,
+            WalRecord::Insert {
+                id,
+                row: row.to_vec(),
+            },
+        );
+        w.settle(&self.cell);
         Ok(id)
     }
 
@@ -568,9 +844,16 @@ impl<S: KeyStore + Clone> ConcurrentShardedIndexSet<S> {
     /// See [`ShardedIndexSet::update_point`].
     pub fn update_point(&self, id: PointId, row: &[f64]) -> Result<()> {
         let mut w = self.lock_writer();
-        w.set.update_point(id, row)?;
-        w.dirty += 1;
-        self.maybe_publish(&mut w);
+        w.stage(&self.cell).update_point(id, row)?;
+        // Replayed updates and deletes find their shard by id.
+        w.record(
+            0,
+            WalRecord::Update {
+                id,
+                row: row.to_vec(),
+            },
+        );
+        w.settle(&self.cell);
         Ok(())
     }
 
@@ -581,9 +864,9 @@ impl<S: KeyStore + Clone> ConcurrentShardedIndexSet<S> {
     /// See [`ShardedIndexSet::delete_point`].
     pub fn delete_point(&self, id: PointId) -> Result<()> {
         let mut w = self.lock_writer();
-        w.set.delete_point(id)?;
-        w.dirty += 1;
-        self.maybe_publish(&mut w);
+        w.stage(&self.cell).delete_point(id)?;
+        w.record(0, WalRecord::Delete { id });
+        w.settle(&self.cell);
         Ok(())
     }
 
@@ -591,30 +874,26 @@ impl<S: KeyStore + Clone> ConcurrentShardedIndexSet<S> {
     /// [`ShardedIndexSet::compact`].
     pub fn compact(&self, threshold: f64) -> Vec<usize> {
         let mut w = self.lock_writer();
+        let set = w.unlogged(&self.cell);
         // Fold reader observations in so each compacted shard's internal
         // retune sees the workload (see the planar wrapper's `compact`).
-        let snap = self.snapshot();
-        w.set.adopt_quant_window(&snap);
-        drop(snap);
-        let compacted = w.set.compact(threshold);
-        self.cell
-            .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-        w.dirty = 0;
+        set.adopt_quant_window(&self.snapshot());
+        let compacted = set.compact(threshold);
+        w.publish(&self.cell);
         compacted
     }
 
-    /// Per-shard quantization policies on the staged writer state.
+    /// Per-shard quantization policies on the latest writer state.
     pub fn quant_policies(&self) -> Vec<crate::quant::QuantPolicy> {
-        self.lock_writer().set.quant_policies()
+        self.lock_writer()
+            .read(&self.cell, ShardedIndexSet::quant_policies)
     }
 
     /// Install one quantization policy on every shard; always publishes.
     pub fn set_quant_policy(&self, policy: crate::quant::QuantPolicy) {
         let mut w = self.lock_writer();
-        w.set.set_quant_policy(policy);
-        self.cell
-            .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-        w.dirty = 0;
+        w.requantize(&self.cell, |set| set.set_quant_policy(policy));
+        w.publish(&self.cell);
     }
 
     /// Fold reader observations into each shard's tuner, retune every
@@ -624,24 +903,17 @@ impl<S: KeyStore + Clone> ConcurrentShardedIndexSet<S> {
         cfg: &crate::quant::QuantAutotuneConfig,
     ) -> Vec<crate::quant::QuantPolicy> {
         let mut w = self.lock_writer();
-        let snap = self.snapshot();
-        w.set.adopt_quant_window(&snap);
-        drop(snap);
-        let policies = w.set.retune_quantization(cfg);
-        self.cell
-            .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-        w.dirty = 0;
+        let policies = w.requantize(&self.cell, |set| {
+            set.adopt_quant_window(&self.snapshot());
+            set.retune_quantization(cfg)
+        });
+        w.publish(&self.cell);
         policies
     }
 
     /// Publish the staged state now. Returns the published epoch.
     pub fn publish(&self) -> u64 {
-        let mut w = self.lock_writer();
-        let epoch = self
-            .cell
-            .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-        w.dirty = 0;
-        epoch
+        self.lock_writer().publish(&self.cell)
     }
 
     /// Sweep retired epochs whose grace period ended.
@@ -657,13 +929,12 @@ impl<S: KeyStore + Clone> ConcurrentShardedIndexSet<S> {
     /// Replication apply path: replay a contiguous batch of shipped WAL
     /// records into the staged set through the same `replay_record` logic
     /// recovery uses (divergence checks included), then publish **once**
-    /// for the whole batch — per-record copy-on-publish would cap replica
-    /// catch-up far below the cold-replay rate.
+    /// for the whole batch.
     ///
     /// # Errors
     ///
     /// [`PlanarError::Persist`] on replay divergence (e.g. an insert id
-    /// already assigned): the staged copy may be mid-batch, so the caller
+    /// already assigned): the staged set may be mid-batch, so the caller
     /// must treat the replica as diverged and stop applying.
     pub(crate) fn replay_replicated(&self, frames: &[(usize, Lsn, WalRecord)]) -> Result<()> {
         if frames.is_empty() {
@@ -671,40 +942,60 @@ impl<S: KeyStore + Clone> ConcurrentShardedIndexSet<S> {
         }
         let mut w = self.lock_writer();
         for (shard, lsn, rec) in frames {
-            w.set.replay_record(*shard, *lsn, rec)?;
+            if let Err(e) = w.stage(&self.cell).replay_record(*shard, *lsn, rec) {
+                w.pending = None;
+                return Err(e);
+            }
+            w.record(*shard, rec.clone());
         }
-        self.cell
-            .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-        w.dirty = 0;
+        w.publish(&self.cell);
         Ok(())
     }
 
-    /// Consume the wrapper, returning the staged (most recent) set —
-    /// the failover-promotion handoff.
+    /// Consume the wrapper, returning the latest (staged, else published)
+    /// set — the failover-promotion handoff.
     pub fn into_staged(self) -> ShardedIndexSet<S> {
-        self.writer
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-            .set
+        let writer = self.writer.into_inner().unwrap_or_else(|e| e.into_inner());
+        writer.into_latest(self.cell)
     }
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent durable planar set: epochs + group commit
+// Durable wrappers: epochs + group commit
 // ---------------------------------------------------------------------------
 
+/// The writer state of a durable wrapper: the epoch writer plus the WAL
+/// position and checkpoint generation it advances under the same lock.
 #[derive(Debug)]
-struct DurableStaged<S: KeyStore + Clone> {
-    set: PlanarIndexSet<S>,
+struct DurableWriter<T> {
+    epochs: EpochWriter<T>,
     next_lsn: Lsn,
-    dirty: usize,
     generation: u64,
+}
+
+/// `OnCheckpoint` group mode still writes (without fsync) once this many
+/// records are queued, so the in-memory commit queue stays bounded.
+const LAZY_FLUSH_RECORDS: u64 = 512;
+
+/// Acknowledge `lsn` on `queue` per the fsync policy: `Always` joins (or
+/// leads) a commit group and returns only once durable; the bounded-loss
+/// policies return immediately, flushing the queue when due.
+fn ack_lsn(queue: &GroupCommitQueue, fsync: FsyncPolicy, lsn: Lsn) -> Result<()> {
+    let due = match fsync {
+        FsyncPolicy::Always => return queue.wait_durable(lsn),
+        FsyncPolicy::EveryN(n) => u64::from(n.max(1)),
+        FsyncPolicy::OnCheckpoint => LAZY_FLUSH_RECORDS,
+    };
+    if queue.ack_lag() >= due {
+        queue.flush(false)?;
+    }
+    Ok(())
 }
 
 /// Epoch snapshot reads **plus** group-commit durability: the concurrent
 /// counterpart of [`DurablePlanarIndexSet`]. Mutations may be issued from
 /// any number of threads through `&self`; each one is write-ahead logged
-/// into a commit queue, applied to the staged copy in LSN order, and —
+/// into a commit queue, applied to the staged set in LSN order, and —
 /// under [`FsyncPolicy::Always`] — acknowledged only once a commit-group
 /// leader's fsync covers its LSN. Concurrent mutators therefore share
 /// fsyncs instead of paying one each, and concurrent readers never block:
@@ -712,17 +1003,12 @@ struct DurableStaged<S: KeyStore + Clone> {
 #[derive(Debug)]
 pub struct ConcurrentDurablePlanarIndexSet<S: KeyStore + Clone = VecStore> {
     cell: EpochCell<PlanarIndexSet<S>>,
-    writer: Mutex<DurableStaged<S>>,
+    writer: Mutex<DurableWriter<PlanarIndexSet<S>>>,
     queue: GroupCommitQueue,
     dir: PathBuf,
     fsync: FsyncPolicy,
     save_opts: SaveOptions,
-    publish_every: usize,
 }
-
-/// `OnCheckpoint` group mode still writes (without fsync) once this many
-/// records are queued, so the in-memory commit queue stays bounded.
-const LAZY_FLUSH_RECORDS: u64 = 512;
 
 impl<S: KeyStore + Clone> ConcurrentDurablePlanarIndexSet<S> {
     /// Initialize `dir` as a durable home for `set` and wrap it for
@@ -762,24 +1048,21 @@ impl<S: KeyStore + Clone> ConcurrentDurablePlanarIndexSet<S> {
     pub fn from_durable(durable: DurablePlanarIndexSet<S>, cfg: ConcurrencyConfig) -> Self {
         let (set, wal, dir, generation, next_lsn, save_opts) = durable.into_parts();
         let fsync = wal.options().fsync;
-        let staged = set.clone();
         Self {
             cell: EpochCell::new(set),
-            writer: Mutex::new(DurableStaged {
-                set: staged,
+            writer: Mutex::new(DurableWriter {
+                epochs: EpochWriter::new(cfg),
                 next_lsn,
-                dirty: 0,
                 generation,
             }),
             queue: GroupCommitQueue::new(wal),
             dir,
             fsync,
             save_opts,
-            publish_every: cfg.publish_every.max(1),
         }
     }
 
-    fn lock_writer(&self) -> MutexGuard<'_, DurableStaged<S>> {
+    fn lock_writer(&self) -> MutexGuard<'_, DurableWriter<PlanarIndexSet<S>>> {
         self.writer.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -788,36 +1071,19 @@ impl<S: KeyStore + Clone> ConcurrentDurablePlanarIndexSet<S> {
         self.cell.load()
     }
 
-    fn maybe_publish(&self, staged: &mut DurableStaged<S>) {
-        if staged.dirty >= self.publish_every {
-            self.cell.publish(timed_clone(
-                &self.cell,
-                &staged.set,
-                staged.set.memory_usage(),
-            ));
-            staged.dirty = 0;
-        }
-    }
-
-    /// Acknowledge `lsn` per the fsync policy: `Always` joins (or leads)
-    /// a commit group and returns only once durable; the bounded-loss
-    /// policies return immediately, flushing the queue when due.
-    fn ack(&self, lsn: Lsn) -> Result<()> {
-        match self.fsync {
-            FsyncPolicy::Always => self.queue.wait_durable(lsn),
-            FsyncPolicy::EveryN(n) => {
-                if self.queue.ack_lag() >= u64::from(n.max(1)) {
-                    self.queue.flush(false)?;
-                }
-                Ok(())
-            }
-            FsyncPolicy::OnCheckpoint => {
-                if self.queue.ack_lag() >= LAZY_FLUSH_RECORDS {
-                    self.queue.flush(false)?;
-                }
-                Ok(())
-            }
-        }
+    /// Log `rec` at the next LSN, apply it to the staged set and publish
+    /// when due. Returns the LSN to acknowledge and the apply's ack.
+    fn log_and_apply(
+        &self,
+        w: &mut DurableWriter<PlanarIndexSet<S>>,
+        rec: WalRecord,
+    ) -> Result<(Lsn, MutationAck)> {
+        let lsn = w.next_lsn;
+        self.queue.enqueue(lsn, rec.clone())?;
+        w.next_lsn = lsn + 1;
+        let ack = w.epochs.apply(&self.cell, 0, rec)?;
+        w.epochs.settle(&self.cell);
+        Ok((lsn, ack))
     }
 
     /// Group-committed insert. See [`PlanarIndexSet::insert_point`];
@@ -831,21 +1097,16 @@ impl<S: KeyStore + Clone> ConcurrentDurablePlanarIndexSet<S> {
     pub fn insert_point(&self, row: &[f64]) -> Result<PointId> {
         let (lsn, ack) = {
             let mut w = self.lock_writer();
-            validate_row(w.set.dim(), row)?;
-            let id = w.set.table().len() as PointId;
+            let id = w.epochs.read(&self.cell, |set| {
+                validate_row(set.dim(), row).map(|()| set.table().len() as PointId)
+            })?;
             let rec = WalRecord::Insert {
                 id,
                 row: row.to_vec(),
             };
-            let lsn = w.next_lsn;
-            self.queue.enqueue(lsn, rec.clone())?;
-            w.next_lsn = lsn + 1;
-            let ack = apply_planar_record(&mut w.set, &rec)?;
-            w.dirty += 1;
-            self.maybe_publish(&mut w);
-            (lsn, ack)
+            self.log_and_apply(&mut w, rec)?
         };
-        self.ack(lsn)?;
+        ack_lsn(&self.queue, self.fsync, lsn)?;
         match ack {
             MutationAck::Inserted(id) => Ok(id),
             _ => unreachable!("insert acks as Inserted"),
@@ -860,23 +1121,21 @@ impl<S: KeyStore + Clone> ConcurrentDurablePlanarIndexSet<S> {
     pub fn update_point(&self, id: PointId, row: &[f64]) -> Result<()> {
         let lsn = {
             let mut w = self.lock_writer();
-            validate_row(w.set.dim(), row)?;
-            if !w.set.is_live(id) {
-                return Err(PlanarError::PointNotFound(id));
-            }
+            w.epochs.read(&self.cell, |set| {
+                validate_row(set.dim(), row)?;
+                if set.is_live(id) {
+                    Ok(())
+                } else {
+                    Err(PlanarError::PointNotFound(id))
+                }
+            })?;
             let rec = WalRecord::Update {
                 id,
                 row: row.to_vec(),
             };
-            let lsn = w.next_lsn;
-            self.queue.enqueue(lsn, rec.clone())?;
-            w.next_lsn = lsn + 1;
-            apply_planar_record(&mut w.set, &rec)?;
-            w.dirty += 1;
-            self.maybe_publish(&mut w);
-            lsn
+            self.log_and_apply(&mut w, rec)?.0
         };
-        self.ack(lsn)
+        ack_lsn(&self.queue, self.fsync, lsn)
     }
 
     /// Group-committed delete. See [`PlanarIndexSet::delete_point`].
@@ -887,19 +1146,12 @@ impl<S: KeyStore + Clone> ConcurrentDurablePlanarIndexSet<S> {
     pub fn delete_point(&self, id: PointId) -> Result<()> {
         let lsn = {
             let mut w = self.lock_writer();
-            if !w.set.is_live(id) {
+            if !w.epochs.read(&self.cell, |set| set.is_live(id)) {
                 return Err(PlanarError::PointNotFound(id));
             }
-            let rec = WalRecord::Delete { id };
-            let lsn = w.next_lsn;
-            self.queue.enqueue(lsn, rec.clone())?;
-            w.next_lsn = lsn + 1;
-            apply_planar_record(&mut w.set, &rec)?;
-            w.dirty += 1;
-            self.maybe_publish(&mut w);
-            lsn
+            self.log_and_apply(&mut w, WalRecord::Delete { id })?.0
         };
-        self.ack(lsn)
+        ack_lsn(&self.queue, self.fsync, lsn)
     }
 
     /// Group-committed mutation batch: the whole batch is validated up
@@ -916,24 +1168,23 @@ impl<S: KeyStore + Clone> ConcurrentDurablePlanarIndexSet<S> {
         }
         let (last_lsn, acks) = {
             let mut w = self.lock_writer();
-            let next_id = w.set.table().len() as PointId;
-            let records = validate_batch(w.set.dim(), next_id, |id| w.set.is_live(id), muts)?;
+            let records = w.epochs.read(&self.cell, |set| {
+                let next_id = set.table().len() as PointId;
+                validate_batch(set.dim(), next_id, |id| set.is_live(id), muts)
+            })?;
             let first_lsn = w.next_lsn;
             for (i, rec) in records.iter().enumerate() {
                 self.queue.enqueue(first_lsn + i as Lsn, rec.clone())?;
             }
             w.next_lsn = first_lsn + records.len() as Lsn;
             let mut acks = Vec::with_capacity(records.len());
-            for rec in &records {
-                acks.push(apply_planar_record(&mut w.set, rec)?);
+            for rec in records {
+                acks.push(w.epochs.apply(&self.cell, 0, rec)?);
             }
-            w.dirty += records.len();
-            self.cell
-                .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-            w.dirty = 0;
+            w.epochs.publish(&self.cell);
             (w.next_lsn - 1, acks)
         };
-        self.ack(last_lsn)?;
+        ack_lsn(&self.queue, self.fsync, last_lsn)?;
         Ok(acks)
     }
 
@@ -968,13 +1219,12 @@ impl<S: KeyStore + Clone> ConcurrentDurablePlanarIndexSet<S> {
         // the snapshot below then carries the freshly chosen tier. The
         // policy is derived state, so it needs no WAL record: replay
         // without it yields identical answers, just unfiltered.
-        let snap = self.snapshot();
-        w.set.adopt_quant_window(&snap);
-        drop(snap);
-        w.set
-            .retune_quantization(&crate::quant::QuantAutotuneConfig::default());
         let generation = w.generation + 1;
-        w.set.save_to_with(
+        w.epochs.requantize(&self.cell, |set| {
+            set.adopt_quant_window(&self.snapshot());
+            set.retune_quantization(&crate::quant::QuantAutotuneConfig::default());
+        });
+        w.epochs.stage(&self.cell).save_to_with(
             snapshot_path(&self.dir, generation),
             &mut crate::fault::StdIo,
             &self.save_opts,
@@ -1000,25 +1250,21 @@ impl<S: KeyStore + Clone> ConcurrentDurablePlanarIndexSet<S> {
     /// any tier by contract).
     pub fn set_quant_policy(&self, policy: crate::quant::QuantPolicy) {
         let mut w = self.lock_writer();
-        w.set.set_quant_policy(policy);
-        self.cell
-            .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-        w.dirty = 0;
+        w.epochs
+            .requantize(&self.cell, |set| set.set_quant_policy(policy));
+        w.epochs.publish(&self.cell);
     }
 
-    /// The quantization policy active on the staged writer state.
+    /// The quantization policy active on the latest writer state.
     pub fn quant_policy(&self) -> crate::quant::QuantPolicy {
-        self.lock_writer().set.quant_policy()
+        self.lock_writer()
+            .epochs
+            .read(&self.cell, PlanarIndexSet::quant_policy)
     }
 
     /// Publish the staged state now. Returns the published epoch.
     pub fn publish(&self) -> u64 {
-        let mut w = self.lock_writer();
-        let epoch = self
-            .cell
-            .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-        w.dirty = 0;
-        epoch
+        self.lock_writer().epochs.publish(&self.cell)
     }
 
     /// Sweep retired epochs whose grace period ended.
@@ -1067,14 +1313,6 @@ impl<S: KeyStore + Clone> ConcurrentDurablePlanarIndexSet<S> {
 // Concurrent durable sharded set: epochs + per-shard group commit
 // ---------------------------------------------------------------------------
 
-#[derive(Debug)]
-struct DurableShardedStaged<S: KeyStore + Clone> {
-    set: ShardedIndexSet<S>,
-    next_lsn: Lsn,
-    dirty: usize,
-    generation: u64,
-}
-
 /// The sharded counterpart of [`ConcurrentDurablePlanarIndexSet`]: epoch
 /// snapshot reads over a [`ShardedIndexSet`] with **one group-commit
 /// queue per shard WAL**. Mutations routed to different shards commit
@@ -1085,12 +1323,11 @@ struct DurableShardedStaged<S: KeyStore + Clone> {
 #[derive(Debug)]
 pub struct ConcurrentDurableShardedIndexSet<S: KeyStore + Clone = VecStore> {
     cell: EpochCell<ShardedIndexSet<S>>,
-    writer: Mutex<DurableShardedStaged<S>>,
+    writer: Mutex<DurableWriter<ShardedIndexSet<S>>>,
     queues: Vec<GroupCommitQueue>,
     dir: PathBuf,
     fsync: FsyncPolicy,
     save_opts: SaveOptions,
-    publish_every: usize,
 }
 
 impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
@@ -1135,41 +1372,27 @@ impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
             .map(|w| w.options().fsync)
             .unwrap_or(FsyncPolicy::Always);
         let queues = wals.into_iter().map(GroupCommitQueue::new).collect();
-        let staged = set.clone();
         Self {
             cell: EpochCell::new(set),
-            writer: Mutex::new(DurableShardedStaged {
-                set: staged,
+            writer: Mutex::new(DurableWriter {
+                epochs: EpochWriter::new(cfg),
                 next_lsn,
-                dirty: 0,
                 generation,
             }),
             queues,
             dir,
             fsync,
             save_opts,
-            publish_every: cfg.publish_every.max(1),
         }
     }
 
-    fn lock_writer(&self) -> MutexGuard<'_, DurableShardedStaged<S>> {
+    fn lock_writer(&self) -> MutexGuard<'_, DurableWriter<ShardedIndexSet<S>>> {
         self.writer.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Pin the current epoch for reading.
     pub fn snapshot(&self) -> Snapshot<ShardedIndexSet<S>> {
         self.cell.load()
-    }
-
-    fn maybe_publish(&self, staged: &mut DurableShardedStaged<S>) {
-        if staged.dirty >= self.publish_every {
-            self.cell.publish(timed_clone(
-                &self.cell,
-                &staged.set,
-                staged.set.memory_usage(),
-            ));
-            staged.dirty = 0;
-        }
     }
 
     /// Install a replication [`QuorumGate`] on every shard's commit
@@ -1193,25 +1416,25 @@ impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
         }
     }
 
-    /// Acknowledge `lsn` on shard `shard` per the fsync policy (see
-    /// [`ConcurrentDurablePlanarIndexSet`]'s policy mapping).
+    /// Acknowledge `lsn` on shard `shard` per the fsync policy.
     fn ack(&self, shard: usize, lsn: Lsn) -> Result<()> {
-        let queue = &self.queues[shard];
-        match self.fsync {
-            FsyncPolicy::Always => queue.wait_durable(lsn),
-            FsyncPolicy::EveryN(n) => {
-                if queue.ack_lag() >= u64::from(n.max(1)) {
-                    queue.flush(false)?;
-                }
-                Ok(())
-            }
-            FsyncPolicy::OnCheckpoint => {
-                if queue.ack_lag() >= LAZY_FLUSH_RECORDS {
-                    queue.flush(false)?;
-                }
-                Ok(())
-            }
-        }
+        ack_lsn(&self.queues[shard], self.fsync, lsn)
+    }
+
+    /// Log `rec` at the next LSN on `shard`'s queue, apply it to the
+    /// staged set and publish when due. Returns the LSN and the ack.
+    fn log_and_apply(
+        &self,
+        w: &mut DurableWriter<ShardedIndexSet<S>>,
+        shard: usize,
+        rec: WalRecord,
+    ) -> Result<(Lsn, MutationAck)> {
+        let lsn = w.next_lsn;
+        self.queues[shard].enqueue(lsn, rec.clone())?;
+        w.next_lsn = lsn + 1;
+        let ack = w.epochs.apply(&self.cell, shard, rec)?;
+        w.epochs.settle(&self.cell);
+        Ok((lsn, ack))
     }
 
     /// Group-committed insert routed by the partitioner. See
@@ -1222,32 +1445,25 @@ impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
     /// As [`DurableShardedIndexSet::insert_point`] (a commit-group
     /// append/fsync failure is *not* acknowledged).
     pub fn insert_point(&self, row: &[f64]) -> Result<PointId> {
-        let (shard, lsn, id) = {
+        let (shard, lsn, ack) = {
             let mut w = self.lock_writer();
-            validate_row(w.set.dim(), row)?;
-            let global = w.set.next_global();
-            let shard = w.set.partitioner().route(global, row);
-            let lsn = w.next_lsn;
-            self.queues[shard].enqueue(
-                lsn,
-                WalRecord::Insert {
-                    id: global,
-                    row: row.to_vec(),
-                },
-            )?;
-            w.next_lsn = lsn + 1;
-            let got = w.set.insert_point(row).map_err(internal_apply)?;
-            if got != global {
-                return Err(PlanarError::Internal(format!(
-                    "staged insert assigned global id {got}, routing predicted {global}"
-                )));
-            }
-            w.dirty += 1;
-            self.maybe_publish(&mut w);
-            (shard, lsn, got)
+            let (id, shard) = w.epochs.read(&self.cell, |set| {
+                validate_row(set.dim(), row)?;
+                let id = set.next_global();
+                Ok::<_, PlanarError>((id, set.partitioner().route(id, row)))
+            })?;
+            let rec = WalRecord::Insert {
+                id,
+                row: row.to_vec(),
+            };
+            let (lsn, ack) = self.log_and_apply(&mut w, shard, rec)?;
+            (shard, lsn, ack)
         };
         self.ack(shard, lsn)?;
-        Ok(id)
+        match ack {
+            MutationAck::Inserted(id) => Ok(id),
+            _ => unreachable!("insert acks as Inserted"),
+        }
     }
 
     /// Group-committed update on the point's shard. See
@@ -1259,21 +1475,15 @@ impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
     pub fn update_point(&self, id: PointId, row: &[f64]) -> Result<()> {
         let (shard, lsn) = {
             let mut w = self.lock_writer();
-            validate_row(w.set.dim(), row)?;
-            let shard = w.set.shard_of(id).ok_or(PlanarError::PointNotFound(id))?;
-            let lsn = w.next_lsn;
-            self.queues[shard].enqueue(
-                lsn,
-                WalRecord::Update {
-                    id,
-                    row: row.to_vec(),
-                },
-            )?;
-            w.next_lsn = lsn + 1;
-            w.set.update_point(id, row).map_err(internal_apply)?;
-            w.dirty += 1;
-            self.maybe_publish(&mut w);
-            (shard, lsn)
+            let shard = w.epochs.read(&self.cell, |set| {
+                validate_row(set.dim(), row)?;
+                set.shard_of(id).ok_or(PlanarError::PointNotFound(id))
+            })?;
+            let rec = WalRecord::Update {
+                id,
+                row: row.to_vec(),
+            };
+            (shard, self.log_and_apply(&mut w, shard, rec)?.0)
         };
         self.ack(shard, lsn)
     }
@@ -1287,14 +1497,12 @@ impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
     pub fn delete_point(&self, id: PointId) -> Result<()> {
         let (shard, lsn) = {
             let mut w = self.lock_writer();
-            let shard = w.set.shard_of(id).ok_or(PlanarError::PointNotFound(id))?;
-            let lsn = w.next_lsn;
-            self.queues[shard].enqueue(lsn, WalRecord::Delete { id })?;
-            w.next_lsn = lsn + 1;
-            w.set.delete_point(id).map_err(internal_apply)?;
-            w.dirty += 1;
-            self.maybe_publish(&mut w);
-            (shard, lsn)
+            let shard = w
+                .epochs
+                .read(&self.cell, |set| set.shard_of(id))
+                .ok_or(PlanarError::PointNotFound(id))?;
+            let rec = WalRecord::Delete { id };
+            (shard, self.log_and_apply(&mut w, shard, rec)?.0)
         };
         self.ack(shard, lsn)
     }
@@ -1313,44 +1521,7 @@ impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
         }
         let (acks, touched) = {
             let mut w = self.lock_writer();
-            let dim = w.set.dim();
-            let mut born: Vec<(PointId, usize)> = Vec::new();
-            let mut killed: Vec<PointId> = Vec::new();
-            let mut next = w.set.next_global();
-            let mut routed: Vec<(usize, WalRecord)> = Vec::with_capacity(muts.len());
-            for m in muts {
-                match m {
-                    Mutation::Insert { row } => {
-                        validate_row(dim, row)?;
-                        let shard = w.set.partitioner().route(next, row);
-                        routed.push((
-                            shard,
-                            WalRecord::Insert {
-                                id: next,
-                                row: row.clone(),
-                            },
-                        ));
-                        born.push((next, shard));
-                        next += 1;
-                    }
-                    Mutation::Update { id, row } => {
-                        validate_row(dim, row)?;
-                        let shard = shard_in_batch(&w.set, *id, &born, &killed)?;
-                        routed.push((
-                            shard,
-                            WalRecord::Update {
-                                id: *id,
-                                row: row.clone(),
-                            },
-                        ));
-                    }
-                    Mutation::Delete { id } => {
-                        let shard = shard_in_batch(&w.set, *id, &born, &killed)?;
-                        routed.push((shard, WalRecord::Delete { id: *id }));
-                        killed.push(*id);
-                    }
-                }
-            }
+            let routed = w.epochs.read(&self.cell, |set| route_batch(set, muts))?;
             let first_lsn = w.next_lsn;
             let mut touched: Vec<Option<Lsn>> = vec![None; self.queues.len()];
             for (i, (shard, rec)) in routed.iter().enumerate() {
@@ -1360,13 +1531,10 @@ impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
             }
             w.next_lsn = first_lsn + routed.len() as Lsn;
             let mut acks = Vec::with_capacity(routed.len());
-            for (_, rec) in &routed {
-                acks.push(apply_sharded_record(&mut w.set, rec)?);
+            for (shard, rec) in routed {
+                acks.push(w.epochs.apply(&self.cell, shard, rec)?);
             }
-            w.dirty += routed.len();
-            self.cell
-                .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-            w.dirty = 0;
+            w.epochs.publish(&self.cell);
             (acks, touched)
         };
         for (shard, last) in touched.iter().enumerate() {
@@ -1396,15 +1564,12 @@ impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
                 queue.enqueue(lsn, rec.clone())?;
             }
             w.next_lsn = lsn + 1;
+            let set = w.epochs.unlogged(&self.cell);
             // Fold reader observations in so each compacted shard's
             // internal retune sees the workload.
-            let snap = self.snapshot();
-            w.set.adopt_quant_window(&snap);
-            drop(snap);
-            let reclaimed = w.set.compact(threshold);
-            self.cell
-                .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-            w.dirty = 0;
+            set.adopt_quant_window(&self.snapshot());
+            let reclaimed = set.compact(threshold);
+            w.epochs.publish(&self.cell);
             (reclaimed, lsn)
         };
         for shard in 0..self.queues.len() {
@@ -1442,13 +1607,12 @@ impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
         w.next_lsn = watermark + 1;
         // Retune each shard's quantization tier at checkpoint cadence —
         // see the durable planar twin above for why no WAL record exists.
-        let snap = self.snapshot();
-        w.set.adopt_quant_window(&snap);
-        drop(snap);
-        w.set
-            .retune_quantization(&crate::quant::QuantAutotuneConfig::default());
         let generation = w.generation + 1;
-        w.set.save_to_with(
+        w.epochs.requantize(&self.cell, |set| {
+            set.adopt_quant_window(&self.snapshot());
+            set.retune_quantization(&crate::quant::QuantAutotuneConfig::default());
+        });
+        w.epochs.stage(&self.cell).save_to_with(
             snapshot_path(&self.dir, generation),
             &mut crate::fault::StdIo,
             &self.save_opts,
@@ -1458,12 +1622,7 @@ impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
             Manifest {
                 generation,
                 watermark,
-                term: self
-                    .queues
-                    .iter()
-                    .map(GroupCommitQueue::term)
-                    .max()
-                    .unwrap_or(0),
+                term: self.term(),
             },
         )?;
         w.generation = generation;
@@ -1478,25 +1637,21 @@ impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
     /// Derived state — not WAL-logged (see the durable planar twin).
     pub fn set_quant_policy(&self, policy: crate::quant::QuantPolicy) {
         let mut w = self.lock_writer();
-        w.set.set_quant_policy(policy);
-        self.cell
-            .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-        w.dirty = 0;
+        w.epochs
+            .requantize(&self.cell, |set| set.set_quant_policy(policy));
+        w.epochs.publish(&self.cell);
     }
 
-    /// Per-shard quantization policies on the staged writer state.
+    /// Per-shard quantization policies on the latest writer state.
     pub fn quant_policies(&self) -> Vec<crate::quant::QuantPolicy> {
-        self.lock_writer().set.quant_policies()
+        self.lock_writer()
+            .epochs
+            .read(&self.cell, ShardedIndexSet::quant_policies)
     }
 
     /// Publish the staged state now. Returns the published epoch.
     pub fn publish(&self) -> u64 {
-        let mut w = self.lock_writer();
-        let epoch = self
-            .cell
-            .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-        w.dirty = 0;
-        epoch
+        self.lock_writer().epochs.publish(&self.cell)
     }
 
     /// Sweep retired epochs whose grace period ended.
@@ -1572,21 +1727,62 @@ impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
     }
 }
 
-/// Shard routing for updates/deletes inside a batch: points born earlier
-/// in the batch route to their recorded shard, killed points are gone.
-fn shard_in_batch<S: KeyStore + Clone>(
+/// Validate a batch and route each mutation to its shard: inserts by the
+/// partitioner, updates and deletes by the owning shard (points born
+/// earlier in the batch route to their recorded shard, killed points are
+/// gone).
+fn route_batch<S: KeyStore + Clone>(
     set: &ShardedIndexSet<S>,
-    id: PointId,
-    born: &[(PointId, usize)],
-    killed: &[PointId],
-) -> Result<usize> {
-    if killed.contains(&id) {
-        return Err(PlanarError::PointNotFound(id));
+    muts: &[Mutation],
+) -> Result<Vec<(usize, WalRecord)>> {
+    let dim = set.dim();
+    let mut born: Vec<(PointId, usize)> = Vec::new();
+    let mut killed: Vec<PointId> = Vec::new();
+    let mut next = set.next_global();
+    let shard_of = |id: PointId, born: &[(PointId, usize)], killed: &[PointId]| {
+        if killed.contains(&id) {
+            return Err(PlanarError::PointNotFound(id));
+        }
+        if let Some(&(_, shard)) = born.iter().find(|&&(b, _)| b == id) {
+            return Ok(shard);
+        }
+        set.shard_of(id).ok_or(PlanarError::PointNotFound(id))
+    };
+    let mut routed = Vec::with_capacity(muts.len());
+    for m in muts {
+        match m {
+            Mutation::Insert { row } => {
+                validate_row(dim, row)?;
+                let shard = set.partitioner().route(next, row);
+                routed.push((
+                    shard,
+                    WalRecord::Insert {
+                        id: next,
+                        row: row.clone(),
+                    },
+                ));
+                born.push((next, shard));
+                next += 1;
+            }
+            Mutation::Update { id, row } => {
+                validate_row(dim, row)?;
+                let shard = shard_of(*id, &born, &killed)?;
+                routed.push((
+                    shard,
+                    WalRecord::Update {
+                        id: *id,
+                        row: row.clone(),
+                    },
+                ));
+            }
+            Mutation::Delete { id } => {
+                let shard = shard_of(*id, &born, &killed)?;
+                routed.push((shard, WalRecord::Delete { id: *id }));
+                killed.push(*id);
+            }
+        }
     }
-    if let Some(&(_, shard)) = born.iter().find(|&&(b, _)| b == id) {
-        return Ok(shard);
-    }
-    set.shard_of(id).ok_or(PlanarError::PointNotFound(id))
+    Ok(routed)
 }
 
 fn apply_sharded_record<S: KeyStore + Clone>(
@@ -1664,6 +1860,96 @@ mod tests {
         drop(pinned);
         assert_eq!(conc.reclaim(), 1, "grace period ends with the last pin");
         assert_eq!(conc.epoch_stats().retired_live, 0);
+    }
+
+    #[test]
+    fn concurrent_publishers_each_get_the_epoch_they_assigned() {
+        let cell = EpochCell::new(0u64);
+        let start = std::sync::Barrier::new(2);
+        let mut epochs: Vec<u64> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2u64)
+                .map(|t| {
+                    let (cell, start) = (&cell, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        (0..5000)
+                            .map(|i| cell.publish(t * 10_000 + i))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect::<Vec<u64>>()
+        });
+        epochs.sort_unstable();
+        assert_eq!(
+            epochs,
+            (2..=10_001).collect::<Vec<u64>>(),
+            "two publishers must never both report one epoch"
+        );
+    }
+
+    #[test]
+    fn writes_replay_the_spare_and_clone_only_when_it_is_pinned() {
+        let conc = ConcurrentPlanarIndexSet::new(small_set(40), ConcurrencyConfig::default());
+        let mut twin = small_set(40);
+        for i in 0..6 {
+            let row = [1.0 + i as f64, 2.0];
+            assert_eq!(
+                conc.insert_point(&row).unwrap(),
+                twin.insert_point(&row).unwrap()
+            );
+        }
+        let stats = conc.epoch_stats();
+        assert_eq!(stats.clones, 1, "only the first write clones");
+        assert_eq!((stats.replays, stats.replayed_records), (5, 5));
+
+        // Pin the current epoch: the next write still replays (its spare
+        // is the epoch before), but displaces the pinned epoch, so the
+        // write after it finds its spare pinned and falls back to a clone.
+        let pin = conc.snapshot();
+        conc.delete_point(3).unwrap();
+        twin.delete_point(3).unwrap();
+        conc.update_point(5, &[9.0, 9.0]).unwrap();
+        twin.update_point(5, &[9.0, 9.0]).unwrap();
+        let stats = conc.epoch_stats();
+        assert_eq!((stats.clones, stats.replays), (2, 6));
+        assert_eq!(pin.len(), 46, "the pinned epoch stays frozen");
+        drop(pin);
+
+        assert_eq!(conc.snapshot().to_bytes(), twin.to_bytes());
+        // Re-installing the active policy keeps the log; a policy change
+        // breaks it, and the write after it clones.
+        let i8 = crate::quant::QuantPolicy::tier(crate::quant::QuantTier::I8);
+        for (policy, clones) in [(crate::quant::QuantPolicy::off(), 2), (i8, 3), (i8, 3)] {
+            conc.set_quant_policy(policy);
+            twin.set_quant_policy(policy);
+            conc.insert_point(&[7.0, 7.0]).unwrap();
+            twin.insert_point(&[7.0, 7.0]).unwrap();
+            assert_eq!(conc.epoch_stats().clones, clones, "after {policy:?}");
+            assert_eq!(conc.snapshot().to_bytes(), twin.to_bytes());
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_that_keeps_the_policy_keeps_the_replay_log() {
+        let tmp = TempDir::new("conc_ckpt_replay").unwrap();
+        let opts = WalOptions::default().fsync(FsyncPolicy::EveryN(8));
+        let cfg = ConcurrencyConfig::default();
+        let conc =
+            ConcurrentDurablePlanarIndexSet::create(tmp.path(), small_set(20), opts, cfg).unwrap();
+        conc.insert_point(&[2.0, 4.0]).unwrap();
+        conc.checkpoint().unwrap();
+        conc.insert_point(&[3.0, 4.0]).unwrap();
+        conc.insert_point(&[4.0, 4.0]).unwrap();
+        let stats = conc.epoch_stats();
+        assert_eq!(
+            (stats.clones, stats.replays),
+            (1, 2),
+            "no clone after the checkpoint"
+        );
     }
 
     #[test]

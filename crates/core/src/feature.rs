@@ -35,7 +35,8 @@ pub trait FeatureMap {
     /// [`PlanarError::DimensionMismatch`] when a point has the wrong arity,
     /// [`PlanarError::NotFinite`] when `φ` produces NaN/∞.
     fn map_all<'a>(&self, points: impl IntoIterator<Item = &'a [f64]>) -> Result<FeatureTable> {
-        let mut table = FeatureTable::new(self.output_dim())?;
+        let points = points.into_iter();
+        let mut table = FeatureTable::with_capacity(self.output_dim(), points.size_hint().0)?;
         let mut buf = vec![0.0; self.output_dim()];
         for x in points {
             if x.len() != self.input_dim() {

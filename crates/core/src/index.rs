@@ -275,7 +275,7 @@ impl<S: KeyStore> SingleIndex<S> {
     fn set_key(&mut self, id: PointId, key: f64) {
         let i = id as usize;
         if i >= self.keys_by_id.len() {
-            self.keys_by_id.resize(i + 1, f64::NAN);
+            crate::memory::resize_slack(&mut self.keys_by_id, i + 1, f64::NAN);
         }
         self.keys_by_id[i] = key;
     }

@@ -500,6 +500,14 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         self.quant_tuner.adopt(&other.quant_tuner);
     }
 
+    /// Start a fresh observation window (see
+    /// [`crate::quant::QuantTuner::reset_window`]): the concurrent
+    /// wrappers' writer resets each copy it stages, so every published
+    /// epoch counts only the reads made against it.
+    pub(crate) fn reset_quant_window(&self) {
+        self.quant_tuner.reset_window();
+    }
+
     /// Re-evaluate the quantization policy from the observed workload (see
     /// [`crate::quant::retune`]), apply the result, and return it. Called
     /// automatically by [`Self::compact`]; callers with checkpoint cadence
@@ -1188,6 +1196,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
                 idx.insert_point(id, row);
             }
         }
+        crate::memory::reserve_slack(&mut self.deleted, 1);
         self.deleted.push(false);
         self.n_live += 1;
         Ok(id)

@@ -74,7 +74,7 @@ use planar_geom::quant::{
 };
 use planar_geom::BLOCK_ROWS;
 
-use crate::memory::HeapSize;
+use crate::memory::{resize_slack, HeapSize};
 use crate::query::{Cmp, InequalityQuery};
 use crate::table::ColumnMajorRows;
 use crate::table::PointId;
@@ -164,8 +164,8 @@ impl Codes {
 
     fn resize(&mut self, len: usize) {
         match self {
-            Codes::I8(v) => v.resize(len, 0),
-            Codes::I16(v) => v.resize(len, 0),
+            Codes::I8(v) => resize_slack(v, len, 0),
+            Codes::I16(v) => resize_slack(v, len, 0),
         }
     }
 
@@ -288,9 +288,9 @@ impl QuantizedColumns {
         let first_dirty = self.len / BLOCK_ROWS;
         let blocks = new_len.div_ceil(BLOCK_ROWS);
         self.codes.resize(blocks * self.dim * BLOCK_ROWS);
-        self.scales.resize(blocks * self.dim, 0.0);
-        self.offsets.resize(blocks * self.dim, 0.0);
-        self.fallback.resize(blocks, false);
+        resize_slack(&mut self.scales, blocks * self.dim, 0.0);
+        resize_slack(&mut self.offsets, blocks * self.dim, 0.0);
+        resize_slack(&mut self.fallback, blocks, false);
         self.len = new_len;
         for b in first_dirty..blocks {
             self.reencode_block(cols, b);

@@ -98,7 +98,8 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::backoff::Backoff;
 use crate::concurrent::{
-    ConcurrencyConfig, ConcurrentDurableShardedIndexSet, ConcurrentShardedIndexSet, Snapshot,
+    ConcurrencyConfig, ConcurrentDurableShardedIndexSet, ConcurrentShardedIndexSet, EpochStats,
+    Snapshot,
 };
 use crate::persist::{install_snapshot_bytes, SaveOptions};
 use crate::shard::ShardedIndexSet;
@@ -1997,6 +1998,12 @@ impl<S: KeyStore + Clone> Replica<S> {
             }
         }
         Ok(applied)
+    }
+
+    /// Epoch bookkeeping of the replica's read side (`None` until a
+    /// snapshot is installed): how shipped batches were published.
+    pub fn epoch_stats(&self) -> Option<EpochStats> {
+        self.state.as_ref().map(|state| state.set.epoch_stats())
     }
 
     /// Consistency-checked read against the latest applied epoch.

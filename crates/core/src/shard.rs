@@ -53,6 +53,7 @@
 use crate::domain::ParameterDomain;
 use crate::health::ShardedHealthReport;
 use crate::index::TopKStats;
+use crate::memory::reserve_slack;
 use crate::multi::{IndexConfig, PlanarIndexSet, QueryOutcome, TopKOutcome};
 use crate::parallel::{self, ExecutionConfig, QueryScratch};
 use crate::query::{InequalityQuery, TopKQuery};
@@ -554,11 +555,19 @@ impl<S: KeyStore> ShardedIndexSet<S> {
 
     /// Adopt another instance's per-shard tuner windows (see
     /// [`PlanarIndexSet::adopt_quant_window`]). Shard counts always match:
-    /// the concurrent wrappers only pair a staged set with its own
-    /// published clone.
+    /// the concurrent wrappers only pair a staged set with the published
+    /// epoch it was copied from.
     pub fn adopt_quant_window(&self, other: &Self) {
         for (mine, theirs) in self.shards.iter().zip(&other.shards) {
             mine.adopt_quant_window(theirs);
+        }
+    }
+
+    /// Start a fresh observation window on every shard (see
+    /// [`PlanarIndexSet::reset_quant_window`]).
+    pub(crate) fn reset_quant_window(&self) {
+        for shard in &self.shards {
+            shard.reset_quant_window();
         }
     }
 
@@ -874,8 +883,7 @@ impl<S: KeyStore> ShardedIndexSet<S> {
         let global = self.assignment.len() as PointId;
         let shard = self.partitioner.route(global, row);
         let local = self.shards[shard].insert_point(row)?;
-        self.assignment.push((shard as u32, local));
-        self.global_ids[shard].push(global);
+        self.push_slot(shard, global, local);
         Ok(global)
     }
 
@@ -1002,6 +1010,7 @@ impl<S: KeyStore> ShardedIndexSet<S> {
             }
             let local = self.shards[shard].insert_point(row)?;
             self.assignment[global as usize] = (shard as u32, local);
+            reserve_slack(&mut self.global_ids[shard], 1);
             self.global_ids[shard].push(global);
             return Ok(());
         }
@@ -1009,12 +1018,20 @@ impl<S: KeyStore> ShardedIndexSet<S> {
         // records on other shards (replayed later) or lost to their torn
         // tails; leave dead placeholders for them.
         while self.assignment.len() < global as usize {
+            reserve_slack(&mut self.assignment, 1);
             self.assignment.push((GAP_SHARD, DEAD_LOCAL));
         }
         let local = self.shards[shard].insert_point(row)?;
-        self.assignment.push((shard as u32, local));
-        self.global_ids[shard].push(global);
+        self.push_slot(shard, global, local);
         Ok(())
+    }
+
+    /// Record a newly inserted point in both id maps.
+    fn push_slot(&mut self, shard: usize, global: PointId, local: u32) {
+        reserve_slack(&mut self.assignment, 1);
+        self.assignment.push((shard as u32, local));
+        reserve_slack(&mut self.global_ids[shard], 1);
+        self.global_ids[shard].push(global);
     }
 
     // ------------------------------------------------------------------

@@ -229,14 +229,7 @@ pub struct StatsAggregator {
     wal_appended_lsn: u64,
     wal_acked_lsn: u64,
     quant_sum: crate::quant::QuantFilterStats,
-    epoch_recorded: bool,
-    epoch: u64,
-    epochs_published: u64,
-    epochs_retired_live: usize,
-    epochs_reclaimed: u64,
-    epoch_clones: u64,
-    epoch_clone_bytes: u64,
-    epoch_clone_micros: u64,
+    epoch: Option<crate::concurrent::EpochStats>,
     gc_recorded: bool,
     gc_fsyncs: u64,
     gc_committed_records: u64,
@@ -318,14 +311,7 @@ impl StatsAggregator {
     /// the aggregate. Point-in-time like [`Self::record_wal`]: the most
     /// recent recording wins.
     pub fn record_epoch(&mut self, stats: &crate::concurrent::EpochStats) {
-        self.epoch_recorded = true;
-        self.epoch = stats.epoch;
-        self.epochs_published = stats.published;
-        self.epochs_retired_live = stats.retired_live;
-        self.epochs_reclaimed = stats.reclaimed;
-        self.epoch_clones = stats.clones;
-        self.epoch_clone_bytes = stats.clone_bytes;
-        self.epoch_clone_micros = stats.clone_micros;
+        self.epoch = Some(*stats);
     }
 
     /// Stamp the latest group-commit counters (see
@@ -414,15 +400,8 @@ impl StatsAggregator {
             self.wal_appended_lsn = other.wal_appended_lsn;
             self.wal_acked_lsn = other.wal_acked_lsn;
         }
-        if other.epoch_recorded {
-            self.epoch_recorded = true;
+        if other.epoch.is_some() {
             self.epoch = other.epoch;
-            self.epochs_published = other.epochs_published;
-            self.epochs_retired_live = other.epochs_retired_live;
-            self.epochs_reclaimed = other.epochs_reclaimed;
-            self.epoch_clones = other.epoch_clones;
-            self.epoch_clone_bytes = other.epoch_clone_bytes;
-            self.epoch_clone_micros = other.epoch_clone_micros;
         }
         if other.gc_recorded {
             self.gc_recorded = true;
@@ -523,6 +502,7 @@ impl StatsAggregator {
     /// events) that produced them. Benchmarks serialize this into their
     /// JSON output so a result is traceable to the code path that made it.
     pub fn snapshot(&self) -> StatsSnapshot {
+        let epoch = self.epoch.unwrap_or_default();
         StatsSnapshot {
             count: self.count,
             mean_pruning_percentage: self.mean_pruning_percentage(),
@@ -547,13 +527,16 @@ impl StatsAggregator {
             quant_reverified: self.quant_sum.reverified,
             quant_fallback: self.quant_sum.fallback,
             quant_kernel: self.quant_sum.tier.kernel_name(),
-            epoch: self.epoch,
-            epochs_published: self.epochs_published,
-            epochs_retired_live: self.epochs_retired_live,
-            epochs_reclaimed: self.epochs_reclaimed,
-            epoch_clones: self.epoch_clones,
-            epoch_clone_bytes: self.epoch_clone_bytes,
-            epoch_clone_micros: self.epoch_clone_micros,
+            epoch: epoch.epoch,
+            epochs_published: epoch.published,
+            epochs_retired_live: epoch.retired_live,
+            epochs_reclaimed: epoch.reclaimed,
+            epoch_clones: epoch.clones,
+            epoch_clone_bytes: epoch.clone_bytes,
+            epoch_clone_micros: epoch.clone_micros,
+            epoch_replays: epoch.replays,
+            epoch_replayed_records: epoch.replayed_records,
+            epoch_replay_micros: epoch.replay_micros,
             group_commit_fsyncs: self.gc_fsyncs,
             group_commit_records: self.gc_committed_records,
             group_commit_max_group: self.gc_max_group,
@@ -647,14 +630,20 @@ pub struct StatsSnapshot {
     pub epochs_retired_live: usize,
     /// Retired epochs reclaimed after their grace period ended.
     pub epochs_reclaimed: u64,
-    /// Copy-on-publish set clones over the recorded cell's lifetime — the
-    /// write-path ceiling ROADMAP item 1 names.
+    /// Fallback full clones of the current epoch over the recorded
+    /// cell's lifetime (see [`crate::EpochStats::clones`]).
     pub epoch_clones: u64,
     /// Bytes deep-copied by those clones (heap footprint of the cloned
     /// sets at clone time).
     pub epoch_clone_bytes: u64,
     /// Wall-clock microseconds spent inside those clones.
     pub epoch_clone_micros: u64,
+    /// Spare epochs brought up to date by log replay instead of a clone.
+    pub epoch_replays: u64,
+    /// Records replayed onto those spares.
+    pub epoch_replayed_records: u64,
+    /// Wall-clock microseconds spent replaying.
+    pub epoch_replay_micros: u64,
     /// Commit-group leader fsyncs at the last
     /// [`StatsAggregator::record_group_commit`] (0 when never recorded).
     pub group_commit_fsyncs: u64,
@@ -847,6 +836,9 @@ impl StatsSnapshot {
             .field_u64("epoch_clones", self.epoch_clones)
             .field_u64("epoch_clone_bytes", self.epoch_clone_bytes)
             .field_u64("epoch_clone_micros", self.epoch_clone_micros)
+            .field_u64("epoch_replays", self.epoch_replays)
+            .field_u64("epoch_replayed_records", self.epoch_replayed_records)
+            .field_u64("epoch_replay_micros", self.epoch_replay_micros)
             .field_u64("group_commit_fsyncs", self.group_commit_fsyncs)
             .field_u64("group_commit_records", self.group_commit_records)
             .field_u64("group_commit_max_group", self.group_commit_max_group)
@@ -1096,7 +1088,7 @@ mod tests {
         assert!(json.contains("\"replication_link_acked\":[]"));
         // Field count matches the struct: one "key": per field.
         let fields = json.matches("\":").count();
-        assert_eq!(fields, 44, "snapshot JSON should carry all 44 fields");
+        assert_eq!(fields, 47, "snapshot JSON should carry all 47 fields");
     }
 
     #[test]
@@ -1208,6 +1200,9 @@ mod tests {
             clones: 2,
             clone_bytes: 4096,
             clone_micros: 17,
+            replays: 5,
+            replayed_records: 6,
+            replay_micros: 9,
         });
         agg.record_group_commit(&crate::wal::GroupCommitStats {
             fsyncs: 4,
@@ -1222,6 +1217,12 @@ mod tests {
         assert_eq!(snap.epoch_clones, 2);
         assert_eq!(snap.epoch_clone_bytes, 4096);
         assert_eq!(snap.epoch_clone_micros, 17);
+        assert_eq!(snap.epoch_replays, 5);
+        assert_eq!(snap.epoch_replayed_records, 6);
+        assert_eq!(snap.epoch_replay_micros, 9);
+        let json = snap.to_json();
+        assert!(json.contains("\"epoch_replays\":5"), "{json}");
+        assert!(json.contains("\"epoch_replayed_records\":6"), "{json}");
         assert_eq!(snap.group_commit_fsyncs, 4);
         assert_eq!(snap.group_commit_records, 32);
         assert_eq!(snap.group_commit_max_group, 12);
@@ -1238,6 +1239,7 @@ mod tests {
             clones: 8,
             clone_bytes: 1 << 20,
             clone_micros: 400,
+            ..Default::default()
         });
         agg.merge(&other);
         let snap = agg.snapshot();

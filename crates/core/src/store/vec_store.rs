@@ -7,7 +7,7 @@
 //! [`super::BPlusTree`] when updates dominate.
 
 use super::{canon, Entry, KeyStore};
-use crate::memory::HeapSize;
+use crate::memory::{reserve_slack, shrink_slack, HeapSize};
 
 /// Sorted `Vec` of entries ordered by `(key, id)`.
 #[derive(Debug, Clone, Default)]
@@ -64,6 +64,7 @@ impl KeyStore for VecStore {
     fn insert(&mut self, e: Entry) {
         let e = Entry::new(e.key, e.id);
         let pos = self.lower_bound(&e);
+        reserve_slack(&mut self.entries, 1);
         self.entries.insert(pos, e);
     }
 
@@ -72,6 +73,7 @@ impl KeyStore for VecStore {
         let pos = self.lower_bound(&e);
         if pos < self.entries.len() && self.entries[pos] == e {
             self.entries.remove(pos);
+            shrink_slack(&mut self.entries);
             true
         } else {
             false

@@ -126,32 +126,40 @@ impl ColumnMajorRows {
         self.start + b * self.block_elems() + j * BLOCK_ROWS + (row % BLOCK_ROWS)
     }
 
-    /// Append one zeroed block, preserving the 64-byte alignment of the data
-    /// region across reallocation.
+    /// Append one zeroed block. A full buffer grows by a bounded slack
+    /// (see [`crate::memory::reserve_slack`]), not by doubling.
     fn grow_block(&mut self) {
         let blk = self.block_elems();
         if self.buf.len() + blk > self.buf.capacity() {
             let data = self.buf.len() - self.start;
-            let new_cap = (data + blk).max(data * 2) + ALIGN_SLACK;
-            let mut fresh: Vec<f64> = Vec::with_capacity(new_cap);
-            let new_start = Self::align_offset(fresh.as_ptr());
-            fresh.resize(new_start, 0.0);
-            fresh.extend_from_slice(&self.buf[self.start..]);
-            self.buf = fresh;
-            self.start = new_start;
+            self.realloc(data + blk + crate::memory::slack(data));
         }
         // Capacity is now sufficient: this resize cannot reallocate, so the
-        // alignment established above survives.
+        // alignment established by `realloc` survives.
         self.buf.resize(self.buf.len() + blk, 0.0);
     }
 
     fn reserve_rows(&mut self, additional: usize) {
-        let blocks_needed = (self.len + additional).div_ceil(BLOCK_ROWS);
-        let have = (self.buf.len() - self.start) / self.block_elems().max(1);
-        if blocks_needed > have {
-            self.buf
-                .reserve((blocks_needed - have) * self.block_elems() + ALIGN_SLACK);
+        let data = (self.len + additional).div_ceil(BLOCK_ROWS) * self.block_elems();
+        if self.start + data > self.buf.capacity() {
+            self.realloc(data);
         }
+    }
+
+    /// Move the data region into a fresh allocation with room for `data`
+    /// elements, re-establishing its 64-byte alignment.
+    fn realloc(&mut self, data: usize) {
+        (self.buf, self.start) = Self::aligned_copy(&self.buf[self.start..], data);
+    }
+
+    /// A fresh buffer holding `data` from a 64-byte-aligned offset, with
+    /// room for `cap` data elements; returns the buffer and the offset.
+    fn aligned_copy(data: &[f64], cap: usize) -> (Vec<f64>, usize) {
+        let mut buf = Vec::with_capacity(cap + ALIGN_SLACK);
+        let start = Self::align_offset(buf.as_ptr());
+        buf.resize(start, 0.0);
+        buf.extend_from_slice(data);
+        (buf, start)
     }
 
     fn align_offset(ptr: *const f64) -> usize {
@@ -215,16 +223,13 @@ impl Clone for ColumnMajorRows {
     /// derived clone would copy the old `start`, which is only correct for
     /// the old base pointer).
     fn clone(&self) -> Self {
-        let data = self.buf.len() - self.start;
-        let mut fresh: Vec<f64> = Vec::with_capacity(data + ALIGN_SLACK);
-        let new_start = Self::align_offset(fresh.as_ptr());
-        fresh.resize(new_start, 0.0);
-        fresh.extend_from_slice(&self.buf[self.start..]);
+        let data = &self.buf[self.start..];
+        let (buf, start) = Self::aligned_copy(data, data.len());
         Self {
             dim: self.dim,
             len: self.len,
-            buf: fresh,
-            start: new_start,
+            buf,
+            start,
         }
     }
 }
@@ -329,7 +334,8 @@ impl FeatureTable {
     /// [`PlanarError::DimensionMismatch`] on ragged input or `dim == 0`,
     /// [`PlanarError::NotFinite`] on NaN/∞ values.
     pub fn from_rows(dim: usize, rows: impl IntoIterator<Item = Vec<f64>>) -> Result<Self> {
-        let mut t = Self::new(dim)?;
+        let rows = rows.into_iter();
+        let mut t = Self::with_capacity(dim, rows.size_hint().0)?;
         for row in rows {
             t.push_row(&row)?;
         }
@@ -345,6 +351,7 @@ impl FeatureTable {
     pub fn push_row(&mut self, row: &[f64]) -> Result<PointId> {
         self.validate(row)?;
         let id = self.len() as PointId;
+        crate::memory::reserve_slack(&mut self.data, row.len());
         self.data.extend_from_slice(row);
         self.cols.push_row(row);
         if let Some(q) = &mut self.quant {

@@ -17,8 +17,11 @@ echo "== fault suite (injection + durability + WAL crash proptests) =="
 cargo test -p planar-core -q --features fault-injection \
   --test fault_injection --test durability_proptests --test wal_crash_proptests
 
-echo "== concurrency suite (snapshot isolation + group-commit crash sweep) =="
+echo "== concurrency suite (snapshot isolation + replay ≡ twin + group-commit crash sweep) =="
 cargo test -p planar-core -q --test concurrent_proptests
+
+echo "== benchmark package (builds against the current core API + self-tests) =="
+cargo test --release --offline --manifest-path stackbench/Cargo.toml
 
 echo "== replication suite (transport fault sweep + failover promotion) =="
 cargo test -p planar-core -q --features fault-injection \
