@@ -270,6 +270,10 @@ fn render_json(
     out.push_str(&format!("  \"dim\": {DIM},\n"));
     out.push_str(&format!("  \"budget\": {BUDGET},\n"));
     out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
+    out.push_str(&format!(
+        "  \"host_cpus\": {},\n",
+        std::thread::available_parallelism().map_or(1, |p| p.get())
+    ));
     out.push_str(&format!("  \"mutations\": {MUTATIONS},\n"));
     out.push_str("  \"fsync_policy_ms\": {\n");
     out.push_str(&format!("    \"none\": {memory_ms:.3},\n"));

@@ -15,6 +15,17 @@
 //! by [`MAX_BODY`] before any allocation, so a corrupt length can neither
 //! OOM the peer nor index past a buffer.
 //!
+//! Each frame is one buffer end to end. The encoders write a length
+//! placeholder, the kind and the body into one `Vec`, patch the length
+//! and append the seal; [`read_frame`] reads body and seal into one
+//! `Vec`, checks the CRC over the stack header and that buffer, and
+//! returns it truncated to the body. Nothing is zero-filled or copied a
+//! second time. The read buffer starts at `min(body_len + 8, 64 KiB)` and
+//! grows only as bytes arrive, so a header claiming [`MAX_BODY`] followed
+//! by a stall or a hang-up costs the reader one chunk, not 16 MiB.
+//! Counted arrays (`Matches` ids, `Neighbors` pairs, query coefficients)
+//! decode in bulk from one length-checked slice.
+//!
 //! Requests carry the tenant (for admission control) and an optional
 //! deadline budget in microseconds, measured from server receipt; the
 //! deadline propagates into
@@ -22,7 +33,7 @@
 //! engine could not start in time come back flagged `partial` — the
 //! client-visible face of [`planar_core::ServedBy::Partial`].
 
-use planar_core::frame::{open_sealed, seal_vec, CRC_LEN};
+use planar_core::frame::{seal_vec, Crc64, CRC_LEN};
 use planar_core::{Cmp, ServedBy};
 use std::io::{self, Read, Write};
 
@@ -34,6 +45,9 @@ const FRAME_HEADER: usize = 4 + 1;
 /// Hard bound on a frame body. Large enough for a 100k-id answer, small
 /// enough that a corrupt length field cannot provoke a huge allocation.
 pub const MAX_BODY: usize = 16 << 20;
+/// Initial read buffer for a frame body: [`read_frame`] allocates at most
+/// this much before any body byte arrives, then grows with the data.
+const READ_CHUNK: usize = 64 << 10;
 
 /// Request kinds.
 const REQ_QUERY: u8 = 0x01;
@@ -190,6 +204,16 @@ fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Append `items` as fixed-width little-endian records of `W` bytes each:
+/// one resize, then a straight copy loop the compiler can vectorize.
+fn put_records<T: Copy, const W: usize>(buf: &mut Vec<u8>, items: &[T], le: impl Fn(T) -> [u8; W]) {
+    let start = buf.len();
+    buf.resize(start + items.len() * W, 0);
+    for (dst, &item) in buf[start..].as_chunks_mut::<W>().0.iter_mut().zip(items) {
+        *dst = le(item);
+    }
+}
+
 fn cmp_tag(cmp: Cmp) -> u8 {
     match cmp {
         Cmp::Leq => 0,
@@ -203,14 +227,31 @@ fn encode_predicate(buf: &mut Vec<u8>, tenant: u32, deadline_us: u32, a: &[f64],
     buf.push(cmp_tag(cmp));
     put_f64(buf, b);
     put_u32(buf, a.len() as u32);
-    for &c in a {
-        put_f64(buf, c);
-    }
+    put_records(buf, a, f64::to_le_bytes);
+}
+
+/// Start a frame: a length placeholder and the kind tag, with room for a
+/// `body_cap`-byte body and the seal. The body is appended in place and
+/// [`finish_frame`] patches the length, so the body is never copied.
+fn begin_frame(kind: u8, body_cap: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(FRAME_HEADER + body_cap + CRC_LEN);
+    out.extend_from_slice(&[0; 4]);
+    out.push(kind);
+    out
+}
+
+/// Patch the body length into a frame begun by [`begin_frame`] and seal it.
+fn finish_frame(mut out: Vec<u8>) -> Vec<u8> {
+    let body_len = out.len() - FRAME_HEADER;
+    debug_assert!(body_len <= MAX_BODY);
+    out[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
+    seal_vec(&mut out);
+    out
 }
 
 /// Encode a request into one sealed frame.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let (kind, body) = match req {
+    let out = match req {
         Request::Query {
             tenant,
             deadline_us,
@@ -218,9 +259,9 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             cmp,
             b,
         } => {
-            let mut body = Vec::with_capacity(21 + a.len() * 8);
-            encode_predicate(&mut body, *tenant, *deadline_us, a, *cmp, *b);
-            (REQ_QUERY, body)
+            let mut out = begin_frame(REQ_QUERY, 21 + a.len() * 8);
+            encode_predicate(&mut out, *tenant, *deadline_us, a, *cmp, *b);
+            out
         }
         Request::TopK {
             tenant,
@@ -230,66 +271,66 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             b,
             k,
         } => {
-            let mut body = Vec::with_capacity(25 + a.len() * 8);
-            encode_predicate(&mut body, *tenant, *deadline_us, a, *cmp, *b);
-            put_u32(&mut body, *k);
-            (REQ_TOPK, body)
+            let mut out = begin_frame(REQ_TOPK, 25 + a.len() * 8);
+            encode_predicate(&mut out, *tenant, *deadline_us, a, *cmp, *b);
+            put_u32(&mut out, *k);
+            out
         }
-        Request::Metrics => (REQ_METRICS, Vec::new()),
+        Request::Metrics => begin_frame(REQ_METRICS, 0),
     };
-    frame(kind, body)
+    finish_frame(out)
 }
 
 /// Encode a response into one sealed frame.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let (kind, body) = match resp {
+    let out = match resp {
         Response::Matches { ids, provenance } => {
-            let mut body = Vec::with_capacity(9 + ids.len() * 4);
-            put_provenance(&mut body, provenance);
-            put_u32(&mut body, ids.len() as u32);
-            for &id in ids {
-                put_u32(&mut body, id);
-            }
-            (RESP_MATCHES, body)
+            let mut out = begin_frame(RESP_MATCHES, 9 + ids.len() * 4);
+            put_provenance(&mut out, provenance);
+            put_u32(&mut out, ids.len() as u32);
+            put_records(&mut out, ids, u32::to_le_bytes);
+            out
         }
         Response::Neighbors {
             neighbors,
             provenance,
         } => {
-            let mut body = Vec::with_capacity(9 + neighbors.len() * 12);
-            put_provenance(&mut body, provenance);
-            put_u32(&mut body, neighbors.len() as u32);
-            for &(id, dist) in neighbors {
-                put_u32(&mut body, id);
-                put_f64(&mut body, dist);
-            }
-            (RESP_NEIGHBORS, body)
+            let mut out = begin_frame(RESP_NEIGHBORS, 9 + neighbors.len() * 12);
+            put_provenance(&mut out, provenance);
+            put_u32(&mut out, neighbors.len() as u32);
+            put_records(&mut out, neighbors, |(id, dist): (u32, f64)| {
+                let mut rec = [0; 12];
+                rec[..4].copy_from_slice(&id.to_le_bytes());
+                rec[4..].copy_from_slice(&dist.to_le_bytes());
+                rec
+            });
+            out
         }
         Response::Retry { retry_after_us } => {
-            let mut body = Vec::with_capacity(4);
-            put_u32(&mut body, *retry_after_us);
-            (RESP_RETRY, body)
+            let mut out = begin_frame(RESP_RETRY, 4);
+            put_u32(&mut out, *retry_after_us);
+            out
         }
         Response::Overload { queue_depth } => {
-            let mut body = Vec::with_capacity(4);
-            put_u32(&mut body, *queue_depth);
-            (RESP_OVERLOAD, body)
+            let mut out = begin_frame(RESP_OVERLOAD, 4);
+            put_u32(&mut out, *queue_depth);
+            out
         }
         Response::Error { code, message } => {
-            let mut body = Vec::with_capacity(5 + message.len());
-            body.push(*code);
-            put_u32(&mut body, message.len() as u32);
-            body.extend_from_slice(message.as_bytes());
-            (RESP_ERROR, body)
+            let mut out = begin_frame(RESP_ERROR, 5 + message.len());
+            out.push(*code);
+            put_u32(&mut out, message.len() as u32);
+            out.extend_from_slice(message.as_bytes());
+            out
         }
         Response::Metrics { json } => {
-            let mut body = Vec::with_capacity(4 + json.len());
-            put_u32(&mut body, json.len() as u32);
-            body.extend_from_slice(json.as_bytes());
-            (RESP_METRICS, body)
+            let mut out = begin_frame(RESP_METRICS, 4 + json.len());
+            put_u32(&mut out, json.len() as u32);
+            out.extend_from_slice(json.as_bytes());
+            out
         }
     };
-    frame(kind, body)
+    finish_frame(out)
 }
 
 fn put_provenance(buf: &mut Vec<u8>, p: &Provenance) {
@@ -302,16 +343,6 @@ fn put_provenance(buf: &mut Vec<u8>, p: &Provenance) {
     }
     buf.push(flags);
     put_u32(buf, p.completed);
-}
-
-fn frame(kind: u8, body: Vec<u8>) -> Vec<u8> {
-    debug_assert!(body.len() <= MAX_BODY);
-    let mut out = Vec::with_capacity(FRAME_HEADER + body.len() + CRC_LEN);
-    put_u32(&mut out, body.len() as u32);
-    out.push(kind);
-    out.extend_from_slice(&body);
-    seal_vec(&mut out);
-    out
 }
 
 /// A cursor over a frame body with length-bounded reads.
@@ -349,6 +380,15 @@ impl<'a> Cursor<'a> {
             .map(|s| f64::from_le_bytes(s.try_into().unwrap()))
     }
 
+    /// `n` fixed-width records of `W` bytes each, decoded in bulk by `f`.
+    /// `None` when fewer than `n * W` bytes remain; the multiply is
+    /// checked, so a corrupt count can neither wrap nor allocate before
+    /// the bound is checked.
+    fn records<T, const W: usize>(&mut self, n: usize, f: impl Fn([u8; W]) -> T) -> Option<Vec<T>> {
+        let raw = self.take(n.checked_mul(W)?)?;
+        Some(raw.as_chunks::<W>().0.iter().map(|&r| f(r)).collect())
+    }
+
     fn done(&self) -> bool {
         self.pos == self.bytes.len()
     }
@@ -368,11 +408,7 @@ fn parse_predicate(c: &mut Cursor) -> Option<(u32, u32, Vec<f64>, Cmp, f64)> {
     let cmp = parse_cmp(c.u8()?)?;
     let b = c.f64()?;
     let dim = c.u32()? as usize;
-    // Bound before allocating: dim f64s must fit in what remains.
-    if dim > (c.bytes.len() - c.pos) / 8 {
-        return None;
-    }
-    let a = (0..dim).map(|_| c.f64()).collect::<Option<Vec<_>>>()?;
+    let a = c.records(dim, f64::from_le_bytes)?;
     Some((tenant, deadline_us, a, cmp, b))
 }
 
@@ -425,21 +461,19 @@ pub fn decode_response(kind: u8, body: &[u8]) -> Option<Response> {
         RESP_MATCHES => {
             let provenance = parse_provenance(&mut c)?;
             let n = c.u32()? as usize;
-            if n > (c.bytes.len() - c.pos) / 4 {
-                return None;
-            }
-            let ids = (0..n).map(|_| c.u32()).collect::<Option<Vec<_>>>()?;
+            let ids = c.records(n, u32::from_le_bytes)?;
             Response::Matches { ids, provenance }
         }
         RESP_NEIGHBORS => {
             let provenance = parse_provenance(&mut c)?;
             let n = c.u32()? as usize;
-            if n > (c.bytes.len() - c.pos) / 12 {
-                return None;
-            }
-            let neighbors = (0..n)
-                .map(|_| Some((c.u32()?, c.f64()?)))
-                .collect::<Option<Vec<_>>>()?;
+            let neighbors = c.records(n, |r: [u8; 12]| {
+                let (id, dist) = r.split_at(4);
+                (
+                    u32::from_le_bytes(id.try_into().expect("4-byte id")),
+                    f64::from_le_bytes(dist.try_into().expect("8-byte distance")),
+                )
+            })?;
             Response::Neighbors {
                 neighbors,
                 provenance,
@@ -469,8 +503,16 @@ pub fn decode_response(kind: u8, body: &[u8]) -> Option<Response> {
 
 /// Read one frame off a stream: `Ok(Some((kind, body)))` on a sealed,
 /// length-bounded frame; `Ok(None)` on clean EOF at a frame boundary;
-/// `Err` on I/O failure, an oversized length, or a CRC mismatch (the
-/// connection is then unusable — framing is lost).
+/// `Err` on I/O failure, an oversized length, a stream that ends inside
+/// the frame (`UnexpectedEof`), or a CRC mismatch (the connection is then
+/// unusable — framing is lost).
+///
+/// Single copy: body and seal are read into one buffer, the CRC runs over
+/// the stack header and then that buffer, and the buffer is truncated to
+/// the body and returned. The buffer starts at no more than
+/// [`READ_CHUNK`] bytes and grows only as bytes actually arrive, so a
+/// header that claims [`MAX_BODY`] and then stalls or hangs up costs the
+/// peer at most about a chunk of memory, not 16 MiB.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<(u8, Vec<u8>)>> {
     let mut header = [0u8; FRAME_HEADER];
     let mut got = 0;
@@ -496,14 +538,31 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<(u8, Vec<u8>)>> {
             format!("frame body of {body_len} bytes exceeds the {MAX_BODY} bound"),
         ));
     }
-    let mut rest = vec![0u8; body_len + CRC_LEN];
-    r.read_exact(&mut rest)?;
-    let mut sealed = Vec::with_capacity(FRAME_HEADER + rest.len());
-    sealed.extend_from_slice(&header);
-    sealed.extend_from_slice(&rest);
-    let body = open_sealed(&sealed)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "frame failed its CRC"))?;
-    Ok(Some((kind, body[FRAME_HEADER..].to_vec())))
+    let want = body_len + CRC_LEN;
+    let mut buf = Vec::with_capacity(want.min(READ_CHUNK));
+    r.take(want as u64).read_to_end(&mut buf)?;
+    if buf.len() < want {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "EOF inside a frame body",
+        ));
+    }
+    let stored = u64::from_le_bytes(
+        buf[body_len..]
+            .try_into()
+            .expect("take() bounds the buffer to body + seal"),
+    );
+    let mut crc = Crc64::new();
+    crc.update(&header);
+    crc.update(&buf[..body_len]);
+    if crc.finish() != stored {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "frame failed its CRC",
+        ));
+    }
+    buf.truncate(body_len);
+    Ok(Some((kind, buf)))
 }
 
 /// Write one pre-encoded frame.
@@ -515,6 +574,7 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &[u8]) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn round_trip_request(req: Request) {
         let frame = encode_request(&req);
@@ -639,6 +699,182 @@ mod tests {
         let mut r = io::Cursor::new(bad);
         let err = read_frame(&mut r).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// Frames recorded from the per-element encoder that the single-buffer
+    /// one replaced. They pin the protocol: any byte that moves here breaks
+    /// every deployed client or server.
+    fn golden_frames() -> Vec<(&'static str, Vec<u8>, &'static str)> {
+        vec![
+            (
+                "matches",
+                encode_response(&Response::Matches {
+                    ids: vec![3, 1, 4, 1_000_000, u32::MAX],
+                    provenance: Provenance {
+                        partial: true,
+                        degraded: false,
+                        completed: 17,
+                    },
+                }),
+                "1d0000008101110000000500000003000000010000000400000040420f00\
+                 ffffffff5ab1497b209d152e",
+            ),
+            (
+                "neighbors",
+                encode_response(&Response::Neighbors {
+                    neighbors: vec![
+                        (9, 0.125),
+                        (2, -0.0),
+                        (7, f64::from_bits(0x7ff8_0000_0000_0001)),
+                        (0, f64::from_bits(1)),
+                    ],
+                    provenance: Provenance {
+                        partial: false,
+                        degraded: true,
+                        completed: 3,
+                    },
+                }),
+                "390000008202030000000400000009000000000000000000c03f02000000\
+                 000000000000008007000000010000000000f87f00000000010000000000\
+                 00000afd89ba58e88b79",
+            ),
+            (
+                "topk",
+                encode_request(&Request::TopK {
+                    tenant: 7,
+                    deadline_us: 250,
+                    a: vec![1.0, -2.5],
+                    cmp: Cmp::Geq,
+                    b: 9.25,
+                    k: 12,
+                }),
+                "290000000207000000fa00000001000000000080224002000000000000\
+                 000000f03f00000000000004c00c000000757113e00ae33280",
+            ),
+        ]
+    }
+
+    #[test]
+    fn encoders_emit_the_pinned_bytes() {
+        for (name, frame, hex) in golden_frames() {
+            assert_eq!(frame, unhex(hex), "{name} frame drifted");
+        }
+    }
+
+    /// Every strict prefix of a valid body, and the body plus one byte,
+    /// must decode to `None` — never a value, never a panic.
+    fn assert_exact_length(kind: u8, body: &[u8], decodes: impl Fn(u8, &[u8]) -> bool) {
+        assert!(decodes(kind, body), "the full body decodes");
+        for cut in 0..body.len() {
+            assert!(
+                !decodes(kind, &body[..cut]),
+                "prefix of {cut} bytes decoded"
+            );
+        }
+        let mut long = body.to_vec();
+        long.push(0);
+        assert!(!decodes(kind, &long), "body one byte long decoded");
+    }
+
+    fn body_of(frame: &[u8]) -> (u8, Vec<u8>) {
+        read_frame(&mut &frame[..]).unwrap().unwrap()
+    }
+
+    #[test]
+    fn every_kind_rejects_a_body_one_byte_short_or_long() {
+        let is_resp = |kind: u8, body: &[u8]| decode_response(kind, body).is_some();
+        let is_req = |kind: u8, body: &[u8]| decode_request(kind, body).is_some();
+        for (_, frame, _) in golden_frames() {
+            let (kind, body) = body_of(&frame);
+            if kind & 0x80 != 0 {
+                assert_exact_length(kind, &body, is_resp);
+            } else {
+                assert_exact_length(kind, &body, is_req);
+            }
+        }
+        for resp in [
+            Response::Retry { retry_after_us: 9 },
+            Response::Overload { queue_depth: 3 },
+            Response::Error {
+                code: error_code::MALFORMED,
+                message: "bad".into(),
+            },
+            Response::Metrics { json: "{}".into() },
+        ] {
+            let (kind, body) = body_of(&encode_response(&resp));
+            assert_exact_length(kind, &body, is_resp);
+        }
+        let (kind, body) = body_of(&encode_request(&Request::Query {
+            tenant: 1,
+            deadline_us: 2,
+            a: vec![0.5, 4.0, -1.0],
+            cmp: Cmp::Leq,
+            b: 3.0,
+        }));
+        assert_exact_length(kind, &body, is_req);
+    }
+
+    /// `f64`s weighted toward the values a lossy codec would mangle.
+    fn tricky_f64() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            3 => any::<u64>().prop_map(f64::from_bits),
+            1 => Just(-0.0),
+            1 => (1..(1u64 << 52)).prop_map(|m| f64::from_bits(0x7ff0_0000_0000_0000 | m)),
+            1 => (1..(1u64 << 52)).prop_map(|m| f64::from_bits((1 << 63) | m)),
+            1 => (1..(1u64 << 52)).prop_map(f64::from_bits),
+        ]
+    }
+
+    fn provenance() -> impl Strategy<Value = Provenance> {
+        (any::<bool>(), any::<bool>(), any::<u32>()).prop_map(|(partial, degraded, completed)| {
+            Provenance {
+                partial,
+                degraded,
+                completed,
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn matches_round_trip(
+            ids in prop::collection::vec(any::<u32>(), 0..=100_000),
+            provenance in provenance(),
+        ) {
+            let resp = Response::Matches { ids, provenance };
+            let (kind, body) = body_of(&encode_response(&resp));
+            prop_assert_eq!(decode_response(kind, &body), Some(resp));
+            prop_assert!(decode_response(kind, &body[..body.len() - 1]).is_none());
+        }
+
+        #[test]
+        fn neighbors_round_trip_bit_exact(
+            neighbors in prop::collection::vec((any::<u32>(), tricky_f64()), 0..=2_000),
+            provenance in provenance(),
+        ) {
+            let resp = Response::Neighbors { neighbors: neighbors.clone(), provenance };
+            let (kind, body) = body_of(&encode_response(&resp));
+            let Some(Response::Neighbors { neighbors: got, provenance: p }) =
+                decode_response(kind, &body)
+            else {
+                panic!("neighbors frame did not decode");
+            };
+            prop_assert_eq!(p, provenance);
+            let bits = |v: &[(u32, f64)]| v.iter().map(|&(id, d)| (id, d.to_bits())).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&neighbors));
+            let mut long = body.clone();
+            long.push(0);
+            prop_assert!(decode_response(kind, &long).is_none());
+        }
     }
 
     #[test]

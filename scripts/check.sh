@@ -38,6 +38,10 @@ PLANAR_FORCE_PORTABLE=1 cargo test -p planar-core -q --test quant_proptests
 echo "== serving suite (loopback wire round trips, coalescing identity, overload) =="
 cargo test -p planar-serve -q
 
+echo "== framing in release codegen (CRC oracle sweeps + bounded frame allocation) =="
+cargo test --release -p planar-core -q frame
+cargo test --release -p planar-serve -q --test frame_alloc
+
 echo "== planar-core unit tests with fault injection compiled in =="
 cargo test -p planar-core -q --features fault-injection --lib
 
