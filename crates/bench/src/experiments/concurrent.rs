@@ -14,6 +14,10 @@
 //! 3. **Bit-identical batches** — `query_batch` against a pinned snapshot
 //!    must equal single-threaded execution exactly.
 //!
+//! The concurrent series run on a one-shard durable
+//! [`ConcurrentShardedIndexSet`] (the unsharded topology); the
+//! single-writer baselines are [`DurablePlanarIndexSet`].
+//!
 //! Results are printed as tables and written to `BENCH_concurrent.json`.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -23,9 +27,9 @@ use crate::report::{ms, Table};
 use crate::{time_ms, Config};
 use planar_core::fault::TempDir;
 use planar_core::{
-    ConcurrencyConfig, ConcurrentDurablePlanarIndexSet, DurablePlanarIndexSet, EpochStats,
-    ExecutionConfig, FsyncPolicy, IndexConfig, InequalityQuery, PlanarIndexSet, VecStore,
-    WalOptions,
+    ConcurrencyConfig, ConcurrentShardedIndexSet, DurablePlanarIndexSet, EpochStats,
+    ExecutionConfig, FsyncPolicy, IndexConfig, InequalityQuery, PlanarIndexSet, ShardConfig,
+    ShardedIndexSet, VecStore, WalOptions,
 };
 use planar_datagen::queries::{eq18_domain, Eq18Generator};
 use planar_datagen::synthetic::{SyntheticConfig, SyntheticKind};
@@ -48,7 +52,7 @@ const READ_WINDOW_MS: u64 = 400;
 const READERS: usize = 2;
 /// Acceptance: concurrent `Always` within this factor of `every_64`.
 const GC_TARGET_RATIO: f64 = 2.0;
-/// Publish-cost gate: the concurrent wrapper's `every_64` run within this
+/// Publish-cost gate: the concurrent engine's `every_64` run within this
 /// factor of the single writer's.
 const PUBLISH_TARGET_RATIO: f64 = 2.0;
 /// Acceptance: racing readers keep this share of idle throughput.
@@ -107,11 +111,18 @@ pub fn concurrent(cfg: &Config) {
         let head: Vec<Vec<f64>> = (0..n).map(|i| table.row(i as u32).to_vec()).collect();
         planar_core::FeatureTable::from_rows(DIM, head).expect("base table")
     };
+    let index = IndexConfig::with_budget(BUDGET).seed(cfg.seed);
+    let build_planar = || {
+        PlanarIndexSet::<VecStore>::build(base.clone(), eq18_domain(DIM, RQ), index.clone())
+            .expect("single-writer build")
+    };
     let build = || {
-        PlanarIndexSet::<VecStore>::build(
+        let one_shard = ShardConfig::round_robin(1);
+        ShardedIndexSet::<VecStore>::build(
             base.clone(),
             eq18_domain(DIM, RQ),
-            IndexConfig::with_budget(BUDGET).seed(cfg.seed),
+            index.clone(),
+            one_shard,
         )
         .expect("concurrent experiment build")
     };
@@ -123,7 +134,7 @@ pub fn concurrent(cfg: &Config) {
         let dir = TempDir::new("bench-conc-single").expect("temp dir");
         let mut durable = DurablePlanarIndexSet::create(
             dir.path().join("idx"),
-            build(),
+            build_planar(),
             WalOptions::default().fsync(p),
         )
         .expect("create durable");
@@ -136,13 +147,13 @@ pub fn concurrent(cfg: &Config) {
     }
     let (single_always_ms, single_every64_ms) = (single_ms[0], single_ms[1]);
 
-    // Matched baseline: the concurrent wrapper under `every_64`. Snapshot
+    // Matched baseline: the concurrent engine under `every_64`. Snapshot
     // publication replays each mutation onto the reclaimed spare epoch, a
     // cost both sides of the comparison pay identically — against the
     // *single-writer* `every_64` number it would masquerade as fsync tax.
     let (conc_every64_ms, publish) = {
         let dir = TempDir::new("bench-conc-every64").expect("temp dir");
-        let conc = ConcurrentDurablePlanarIndexSet::create(
+        let conc = ConcurrentShardedIndexSet::create(
             dir.path().join("idx"),
             build(),
             WalOptions::default().fsync(FsyncPolicy::EveryN(64)),
@@ -163,7 +174,7 @@ pub fn concurrent(cfg: &Config) {
     let mut gc_rows = Vec::new();
     for &threads in &WRITER_SWEEP {
         let dir = TempDir::new("bench-conc-gc").expect("temp dir");
-        let conc = ConcurrentDurablePlanarIndexSet::create(
+        let conc = ConcurrentShardedIndexSet::create(
             dir.path().join("idx"),
             build(),
             WalOptions::default().fsync(FsyncPolicy::Always),
@@ -270,15 +281,14 @@ pub fn concurrent(cfg: &Config) {
     t.print();
 
     // ── 2. Readers racing a writer ──────────────────────────────────────
-    let set = build();
     let mut generator =
-        Eq18Generator::new(set.table(), RQ, cfg.seed ^ 0x0ead).with_inequality_parameter(0.2);
+        Eq18Generator::new(&base, RQ, cfg.seed ^ 0x0ead).with_inequality_parameter(0.2);
     let queries: Vec<InequalityQuery> = generator.queries(cfg.queries.max(32));
 
     let dir = TempDir::new("bench-conc-readers").expect("temp dir");
-    let conc = ConcurrentDurablePlanarIndexSet::create(
+    let conc = ConcurrentShardedIndexSet::create(
         dir.path().join("idx"),
-        set,
+        build(),
         WalOptions::default(),
         ConcurrencyConfig::default(),
     )
@@ -305,7 +315,7 @@ pub fn concurrent(cfg: &Config) {
         )))
     {
         let dir = TempDir::new("bench-conc-race").expect("temp dir");
-        let fresh = ConcurrentDurablePlanarIndexSet::create(
+        let fresh = ConcurrentShardedIndexSet::create(
             dir.path().join("idx"),
             build(),
             WalOptions::default().fsync(p),
@@ -410,7 +420,7 @@ pub fn concurrent(cfg: &Config) {
 /// latency in microseconds, acked mutations/sec — 0 when the writer is
 /// idle).
 fn read_window(
-    set: &ConcurrentDurablePlanarIndexSet<VecStore>,
+    set: &ConcurrentShardedIndexSet<VecStore>,
     queries: &[InequalityQuery],
     rows: Option<&[Vec<f64>]>,
     pace_per_sec: Option<u64>,

@@ -27,7 +27,7 @@ use crate::report::{ms, Table};
 use crate::{time_ms, Config};
 use planar_core::fault::{ChaosProxy, TempDir};
 use planar_core::{
-    AckPolicy, ConcurrencyConfig, ConcurrentDurableShardedIndexSet, DirTransport, FailoverConfig,
+    AckPolicy, ConcurrencyConfig, ConcurrentShardedIndexSet, DirTransport, FailoverConfig,
     FsyncPolicy, InequalityQuery, Mutation, Primary, ReadConsistency, Replica, ShardConfig,
     ShardedIndexSet, TcpLinkOptions, TcpTransport, VecStore, WalOptions,
 };
@@ -183,7 +183,7 @@ pub fn netrepl(cfg: &Config) {
 
     let fresh_primary = |dir: &std::path::Path| {
         let store = Arc::new(
-            ConcurrentDurableShardedIndexSet::create(
+            ConcurrentShardedIndexSet::create(
                 dir.join("idx"),
                 build(),
                 opts,
@@ -201,7 +201,8 @@ pub fn netrepl(cfg: &Config) {
     // 1. Catch-up over the DirTransport spool (no sockets).
     let dir_tmp = TempDir::new("bench-netrepl-dir").expect("temp dir");
     let store = fresh_primary(dir_tmp.path());
-    let mut primary = Primary::from_shared(Arc::clone(&store), FailoverConfig::default());
+    let mut primary =
+        Primary::from_shared(Arc::clone(&store), FailoverConfig::default()).expect("primary");
     let down_spool = dir_tmp.path().join("spool-down");
     let up_spool = dir_tmp.path().join("spool-up");
     primary.add_replica(
@@ -224,7 +225,8 @@ pub fn netrepl(cfg: &Config) {
     let tcp_tmp = TempDir::new("bench-netrepl-tcp").expect("temp dir");
     let store = fresh_primary(tcp_tmp.path());
     let server = Server::start(Arc::clone(&store), ServeConfig::default()).expect("server");
-    let mut primary = Primary::from_shared(Arc::clone(&store), FailoverConfig::default());
+    let mut primary =
+        Primary::from_shared(Arc::clone(&store), FailoverConfig::default()).expect("primary");
     let link = TcpTransport::new(server.addr(), link_opts());
     let mut replica = Replica::<VecStore>::new(
         tcp_tmp.path().join("replica"),
@@ -343,7 +345,8 @@ pub fn netrepl(cfg: &Config) {
     let server = Server::start(Arc::clone(&store), ServeConfig::default()).expect("server");
     let proxy = ChaosProxy::start(server.addr()).expect("chaos proxy");
     let ctl = proxy.ctl();
-    let mut primary = Primary::from_shared(Arc::clone(&store), FailoverConfig::default());
+    let mut primary =
+        Primary::from_shared(Arc::clone(&store), FailoverConfig::default()).expect("primary");
     let link = TcpTransport::new(proxy.addr(), link_opts());
     let mut replica = Replica::<VecStore>::new(
         storm_tmp.path().join("replica"),

@@ -22,7 +22,7 @@ use crate::{time_ms, Config};
 use planar_core::fault::TempDir;
 use planar_core::replicate::ChannelTransport;
 use planar_core::{
-    elect, ConcurrencyConfig, ConcurrentDurableShardedIndexSet, FailoverConfig, FsyncPolicy,
+    elect, ConcurrencyConfig, ConcurrentShardedIndexSet, FailoverConfig, FsyncPolicy,
     InequalityQuery, Primary, ReadConsistency, Replica, ShardConfig, ShardedIndexSet, VecStore,
     WalOptions,
 };
@@ -112,14 +112,14 @@ pub fn replication(cfg: &Config) {
     let opts = WalOptions::default().fsync(FsyncPolicy::EveryN(64));
     let pdir = TempDir::new("bench-repl-primary").expect("temp dir");
     let rdir = TempDir::new("bench-repl-replica").expect("temp dir");
-    let store = ConcurrentDurableShardedIndexSet::create(
+    let store = ConcurrentShardedIndexSet::create(
         pdir.path().join("idx"),
         build(),
         opts,
         ConcurrencyConfig::default(),
     )
     .expect("create durable");
-    let mut primary = Primary::new(store, FailoverConfig::default());
+    let mut primary = Primary::new(store, FailoverConfig::default()).expect("primary");
 
     // 1. Catch-up: a long backlog lands before the replica attaches.
     for row in &rows {

@@ -390,7 +390,7 @@ type ServedEngine = (
 );
 
 /// Build one served engine: synthetic table, Eq. 18 query set, sharded
-/// index behind the concurrent wrapper, and direct-call ground truth.
+/// index behind the concurrent engine, and direct-call ground truth.
 fn build_served_engine(cfg: &Config, n: usize) -> ServedEngine {
     let table = SyntheticConfig::paper(SyntheticKind::Independent, n, DIM).generate();
     let mut generator =

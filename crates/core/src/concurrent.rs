@@ -5,11 +5,12 @@
 //! through `&mut self` — correct, but reader-excluding: a process serving
 //! a mixed read/write workload had to serialize query batches behind every
 //! mutation. This module converts the mutation path into an **epoch
-//! scheme**:
+//! scheme**, behind one engine, [`ConcurrentShardedIndexSet`] (a one-shard
+//! set is the unsharded topology):
 //!
 //! * the published state lives in an [`EpochCell`] as an immutable
-//!   `Arc<PlanarIndexSet>` (or `Arc<ShardedIndexSet>`); readers call
-//!   [`ConcurrentPlanarIndexSet::snapshot`] — one brief `RwLock` read and
+//!   `Arc<ShardedIndexSet>`; readers call
+//!   [`ConcurrentShardedIndexSet::snapshot`] — one brief `RwLock` read and
 //!   an `Arc` clone — and then run `query_batch`/`top_k_batch` against
 //!   the snapshot with **no further synchronization**, for as long as
 //!   they like;
@@ -38,22 +39,26 @@
 //! interleavings, and check every published epoch's persisted bytes
 //! against a single-threaded twin).
 //!
-//! [`ConcurrentDurablePlanarIndexSet`] composes the epoch scheme with the
-//! **group-commit** write-ahead log (`core::wal::GroupCommitQueue`):
+//! The constructor picks durability. [`ConcurrentShardedIndexSet::new`]
+//! serves from memory; [`ConcurrentShardedIndexSet::create`] and
+//! [`ConcurrentShardedIndexSet::open`] compose the epoch scheme with a
+//! **group-commit** write-ahead log per shard (`core::wal::GroupCommitQueue`):
 //! mutations from any number of threads append to a commit queue, one
 //! leader fsyncs for the whole group, and every waiter is acknowledged by
 //! that single fsync — collapsing the `FsyncPolicy::Always` latency curve
 //! toward `EveryN(64)` while preserving "acknowledged ⇒ durable".
 //!
 //! ```
-//! use planar_core::concurrent::{ConcurrencyConfig, ConcurrentPlanarIndexSet};
+//! use planar_core::concurrent::{ConcurrencyConfig, ConcurrentShardedIndexSet};
 //! use planar_core::{Cmp, FeatureTable, IndexConfig, InequalityQuery, ParameterDomain,
-//!                   PlanarIndexSet};
+//!                   ShardConfig, ShardedIndexSet};
 //!
 //! let table = FeatureTable::from_rows(2, vec![vec![1.0, 1.0], vec![4.0, 2.0]]).unwrap();
 //! let domain = ParameterDomain::uniform_continuous(2, 0.5, 2.0).unwrap();
-//! let set: PlanarIndexSet = PlanarIndexSet::build(table, domain, IndexConfig::with_budget(4)).unwrap();
-//! let conc = ConcurrentPlanarIndexSet::new(set, ConcurrencyConfig::default());
+//! let set: ShardedIndexSet = ShardedIndexSet::build(
+//!     table, domain, IndexConfig::with_budget(4), ShardConfig::round_robin(1),
+//! ).unwrap();
+//! let conc = ConcurrentShardedIndexSet::new(set, ConcurrencyConfig::default());
 //!
 //! let snap = conc.snapshot();              // readers pin an epoch…
 //! conc.insert_point(&[9.0, 9.0]).unwrap(); // …while a writer publishes the next
@@ -68,15 +73,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
-use crate::multi::PlanarIndexSet;
-use crate::persist::{RecoveryReport, SaveOptions, ShardedRecoveryReport};
+use crate::persist::{SaveOptions, ShardedRecoveryReport};
 use crate::shard::ShardedIndexSet;
 use crate::store::{KeyStore, VecStore};
 use crate::table::PointId;
 use crate::wal::{
-    snapshot_path, sweep_snapshots, validate_batch, validate_row, write_manifest,
-    DurablePlanarIndexSet, DurableShardedIndexSet, FsyncPolicy, GroupCommitQueue, GroupCommitStats,
-    Lsn, Manifest, Mutation, MutationAck, QuorumGate, WalHealth, WalOptions, WalRecord,
+    ensure_fresh_dir, read_manifest, shard_wal_dir, snapshot_path, sweep_snapshots, validate_row,
+    walerr, write_manifest, FsyncPolicy, GroupCommitQueue, GroupCommitStats, Lsn, Manifest,
+    Mutation, MutationAck, QuorumGate, WalHealth, WalOptions, WalRecord, WalWriter,
 };
 use crate::{PlanarError, Result};
 
@@ -92,7 +96,7 @@ pub struct ConcurrencyConfig {
     /// values bound how many records each publish's spare must replay
     /// (and how often a pinned spare forces a fallback clone), at the cost
     /// of bounded snapshot staleness; batch mutations
-    /// ([`ConcurrentPlanarIndexSet::apply_batch`]) always publish at the
+    /// ([`ConcurrentShardedIndexSet::apply_batch`]) always publish at the
     /// end of the batch.
     pub publish_every: usize,
 }
@@ -249,8 +253,8 @@ impl<T> EpochCell<T> {
         }
     }
 
-    /// Record one full clone's cost (called by the wrappers, which know
-    /// how to measure their set's heap footprint).
+    /// Record one full clone's cost (called by the writer, which knows
+    /// how to measure its set's heap footprint).
     pub fn record_clone(&self, bytes: usize, elapsed: Duration) {
         self.clones.record(bytes, elapsed);
     }
@@ -372,77 +376,18 @@ impl<T> EpochCell<T> {
 // Epoch writer: reclaim-and-replay publication
 // ---------------------------------------------------------------------------
 
-/// The index sets an [`EpochWriter`] stages: applied to and replayed
-/// through the same record logic WAL recovery uses.
-trait EpochSet: Clone {
-    /// Apply one validated point mutation.
-    fn apply(&mut self, rec: &WalRecord) -> Result<MutationAck>;
-    /// Re-apply one logged record, applied first on `shard`.
-    fn replay(&mut self, shard: usize, rec: &WalRecord) -> Result<()>;
-    /// Heap bytes, charged to the clone ledger.
-    fn heap_bytes(&self) -> usize;
-    /// Start a fresh quantization observation window.
-    fn reset_quant_window(&self);
-    /// The quantization policy of each shard (one for an unsharded set).
-    fn quant_policies(&self) -> Vec<crate::quant::QuantPolicy>;
-}
-
-impl<S: KeyStore + Clone> EpochSet for PlanarIndexSet<S> {
-    fn apply(&mut self, rec: &WalRecord) -> Result<MutationAck> {
-        apply_planar_record(self, rec)
-    }
-
-    fn replay(&mut self, _shard: usize, rec: &WalRecord) -> Result<()> {
-        apply_planar_record(self, rec).map(drop)
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.memory_usage()
-    }
-
-    fn reset_quant_window(&self) {
-        PlanarIndexSet::reset_quant_window(self);
-    }
-
-    fn quant_policies(&self) -> Vec<crate::quant::QuantPolicy> {
-        vec![self.quant_policy()]
-    }
-}
-
-impl<S: KeyStore + Clone> EpochSet for ShardedIndexSet<S> {
-    fn apply(&mut self, rec: &WalRecord) -> Result<MutationAck> {
-        apply_sharded_record(self, rec)
-    }
-
-    fn replay(&mut self, shard: usize, rec: &WalRecord) -> Result<()> {
-        self.replay_record(shard, 0, rec)
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.memory_usage()
-    }
-
-    fn reset_quant_window(&self) {
-        ShardedIndexSet::reset_quant_window(self);
-    }
-
-    fn quant_policies(&self) -> Vec<crate::quant::QuantPolicy> {
-        ShardedIndexSet::quant_policies(self)
-    }
-}
-
-/// A logged change to the staged set: the shard it applied to (0 for an
-/// unsharded set) and its record.
+/// A logged change to the staged set: the shard it applied to and its
+/// record.
 type Logged = (usize, WalRecord);
 
 /// The single writer's side of an [`EpochCell`]: the staged next epoch,
 /// and the record logs that let a displaced epoch be reused instead of
 /// cloning the current one on every publish.
 #[derive(Debug)]
-struct EpochWriter<T> {
+struct EpochWriter<S: KeyStore + Clone> {
     /// The next epoch under construction; `None` until the first change
     /// after a publish.
-    staged: Option<T>,
+    staged: Option<ShardedIndexSet<S>>,
     /// Records applied to `staged` since the current epoch; `None` once a
     /// change the log cannot replay touched it.
     pending: Option<Vec<Logged>>,
@@ -454,7 +399,7 @@ struct EpochWriter<T> {
     publish_every: usize,
 }
 
-impl<T: EpochSet> EpochWriter<T> {
+impl<S: KeyStore + Clone> EpochWriter<S> {
     fn new(cfg: ConcurrencyConfig) -> Self {
         Self {
             staged: None,
@@ -466,7 +411,7 @@ impl<T: EpochSet> EpochWriter<T> {
     }
 
     /// The staged set, materialized on the first change after a publish.
-    fn stage(&mut self, cell: &EpochCell<T>) -> &mut T {
+    fn stage(&mut self, cell: &EpochCell<ShardedIndexSet<S>>) -> &mut ShardedIndexSet<S> {
         if self.staged.is_none() {
             self.staged = Some(self.materialize(cell));
             self.pending = Some(Vec::new());
@@ -478,7 +423,7 @@ impl<T: EpochSet> EpochWriter<T> {
     /// replayed onto it, or a clone when the spare is pinned or no log
     /// exists. Either way the copy starts a fresh quantization window, so
     /// an epoch's window counts only the reads made against it.
-    fn materialize(&mut self, cell: &EpochCell<T>) -> T {
+    fn materialize(&mut self, cell: &EpochCell<ShardedIndexSet<S>>) -> ShardedIndexSet<S> {
         if let Some(log) = self.log.take() {
             if let Some(mut spare) = cell.take_spare() {
                 let start = Instant::now();
@@ -487,7 +432,7 @@ impl<T: EpochSet> EpochWriter<T> {
                 spare.reset_quant_window();
                 if log
                     .iter()
-                    .all(|(shard, rec)| spare.replay(*shard, rec).is_ok())
+                    .all(|(shard, rec)| spare.replay_record(*shard, 0, rec).is_ok())
                 {
                     cell.record_replay(log.len(), start.elapsed());
                     return spare;
@@ -497,14 +442,18 @@ impl<T: EpochSet> EpochWriter<T> {
         }
         let current = cell.load();
         let start = Instant::now();
-        let copy = T::clone(&current);
-        cell.record_clone(current.heap_bytes(), start.elapsed());
+        let copy = ShardedIndexSet::clone(&current);
+        cell.record_clone(current.memory_usage(), start.elapsed());
         copy.reset_quant_window();
         copy
     }
 
     /// Read the latest state: staged if any, else the current epoch.
-    fn read<R>(&self, cell: &EpochCell<T>, f: impl FnOnce(&T) -> R) -> R {
+    fn read<R>(
+        &self,
+        cell: &EpochCell<ShardedIndexSet<S>>,
+        f: impl FnOnce(&ShardedIndexSet<S>) -> R,
+    ) -> R {
         match &self.staged {
             Some(set) => f(set),
             None => f(&cell.load()),
@@ -520,8 +469,13 @@ impl<T: EpochSet> EpochWriter<T> {
     }
 
     /// Apply a validated point mutation to the staged set and log it.
-    fn apply(&mut self, cell: &EpochCell<T>, shard: usize, rec: WalRecord) -> Result<MutationAck> {
-        let res = self.stage(cell).apply(&rec);
+    fn apply(
+        &mut self,
+        cell: &EpochCell<ShardedIndexSet<S>>,
+        shard: usize,
+        rec: WalRecord,
+    ) -> Result<MutationAck> {
+        let res = apply_record(self.stage(cell), &rec);
         match &res {
             Ok(_) => self.record(shard, rec),
             // A failed pre-validated apply may have changed part of the set.
@@ -532,7 +486,7 @@ impl<T: EpochSet> EpochWriter<T> {
 
     /// The staged set, for a change the log cannot replay (compaction):
     /// the next publish keeps no spare.
-    fn unlogged(&mut self, cell: &EpochCell<T>) -> &mut T {
+    fn unlogged(&mut self, cell: &EpochCell<ShardedIndexSet<S>>) -> &mut ShardedIndexSet<S> {
         self.stage(cell);
         self.pending = None;
         self.staged.as_mut().expect("staged above")
@@ -542,7 +496,11 @@ impl<T: EpochSet> EpochWriter<T> {
     /// breaks the log only when it changed a policy: otherwise it reset
     /// no more than the observation window, which a replayed spare
     /// starts empty anyway.
-    fn requantize<R>(&mut self, cell: &EpochCell<T>, f: impl FnOnce(&mut T) -> R) -> R {
+    fn requantize<R>(
+        &mut self,
+        cell: &EpochCell<ShardedIndexSet<S>>,
+        f: impl FnOnce(&mut ShardedIndexSet<S>) -> R,
+    ) -> R {
         let set = self.stage(cell);
         let before = set.quant_policies();
         let out = f(&mut *set);
@@ -553,7 +511,7 @@ impl<T: EpochSet> EpochWriter<T> {
     }
 
     /// Publish once [`ConcurrencyConfig::publish_every`] mutations are staged.
-    fn settle(&mut self, cell: &EpochCell<T>) {
+    fn settle(&mut self, cell: &EpochCell<ShardedIndexSet<S>>) {
         if self.dirty >= self.publish_every {
             self.publish(cell);
         }
@@ -561,7 +519,7 @@ impl<T: EpochSet> EpochWriter<T> {
 
     /// Move the staged set into the cell as the next epoch. The displaced
     /// epoch becomes the spare when the pending log can rebuild it.
-    fn publish(&mut self, cell: &EpochCell<T>) -> u64 {
+    fn publish(&mut self, cell: &EpochCell<ShardedIndexSet<S>>) -> u64 {
         self.stage(cell);
         let set = self.staged.take().expect("staged above");
         self.log = self.pending.take();
@@ -570,7 +528,7 @@ impl<T: EpochSet> EpochWriter<T> {
     }
 
     /// The latest state, consuming writer and cell.
-    fn into_latest(self, cell: EpochCell<T>) -> T {
+    fn into_latest(self, cell: EpochCell<ShardedIndexSet<S>>) -> ShardedIndexSet<S> {
         self.staged.unwrap_or_else(|| {
             let set = cell.into_current();
             set.reset_quant_window();
@@ -579,178 +537,9 @@ impl<T: EpochSet> EpochWriter<T> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Concurrent planar set (in-memory)
-// ---------------------------------------------------------------------------
-
-/// A [`PlanarIndexSet`] behind an [`EpochCell`]: lock-free snapshot reads
-/// from any number of threads, mutations from any thread serialized by an
-/// internal writer mutex. See the module docs for the epoch lifecycle.
-#[derive(Debug)]
-pub struct ConcurrentPlanarIndexSet<S: KeyStore + Clone = VecStore> {
-    cell: EpochCell<PlanarIndexSet<S>>,
-    writer: Mutex<EpochWriter<PlanarIndexSet<S>>>,
-}
-
-impl<S: KeyStore + Clone> ConcurrentPlanarIndexSet<S> {
-    /// Wrap `set` for concurrent serving.
-    pub fn new(set: PlanarIndexSet<S>, cfg: ConcurrencyConfig) -> Self {
-        Self {
-            cell: EpochCell::new(set),
-            writer: Mutex::new(EpochWriter::new(cfg)),
-        }
-    }
-
-    fn lock_writer(&self) -> MutexGuard<'_, EpochWriter<PlanarIndexSet<S>>> {
-        self.writer.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Pin the current epoch for reading. Queries on the snapshot are the
-    /// plain [`PlanarIndexSet`] API (`query`, `query_batch`, `top_k_batch`,
-    /// …) and run with no synchronization whatsoever.
-    pub fn snapshot(&self) -> Snapshot<PlanarIndexSet<S>> {
-        self.cell.load()
-    }
-
-    /// Serialized insert; publishes per [`ConcurrencyConfig::publish_every`].
-    ///
-    /// # Errors
-    ///
-    /// See [`PlanarIndexSet::insert_point`].
-    pub fn insert_point(&self, row: &[f64]) -> Result<PointId> {
-        let mut w = self.lock_writer();
-        let id = w.stage(&self.cell).insert_point(row)?;
-        w.record(
-            0,
-            WalRecord::Insert {
-                id,
-                row: row.to_vec(),
-            },
-        );
-        w.settle(&self.cell);
-        Ok(id)
-    }
-
-    /// Serialized update. See [`PlanarIndexSet::update_point`].
-    ///
-    /// # Errors
-    ///
-    /// See [`PlanarIndexSet::update_point`].
-    pub fn update_point(&self, id: PointId, row: &[f64]) -> Result<()> {
-        let mut w = self.lock_writer();
-        w.stage(&self.cell).update_point(id, row)?;
-        w.record(
-            0,
-            WalRecord::Update {
-                id,
-                row: row.to_vec(),
-            },
-        );
-        w.settle(&self.cell);
-        Ok(())
-    }
-
-    /// Serialized delete. See [`PlanarIndexSet::delete_point`].
-    ///
-    /// # Errors
-    ///
-    /// See [`PlanarIndexSet::delete_point`].
-    pub fn delete_point(&self, id: PointId) -> Result<()> {
-        let mut w = self.lock_writer();
-        w.stage(&self.cell).delete_point(id)?;
-        w.record(0, WalRecord::Delete { id });
-        w.settle(&self.cell);
-        Ok(())
-    }
-
-    /// Apply a whole mutation batch under one writer-lock acquisition and
-    /// publish exactly one epoch at the end, so readers observe the batch
-    /// atomically. Returns per-mutation acks in batch order.
-    ///
-    /// # Errors
-    ///
-    /// Validation errors before anything is applied (the batch is
-    /// all-or-nothing against the staged set).
-    pub fn apply_batch(&self, muts: &[Mutation]) -> Result<Vec<MutationAck>> {
-        let mut w = self.lock_writer();
-        let records = w.read(&self.cell, |set| {
-            let next_id = set.table().len() as PointId;
-            validate_batch(set.dim(), next_id, |id| set.is_live(id), muts)
-        })?;
-        let mut acks = Vec::with_capacity(records.len());
-        for rec in records {
-            acks.push(w.apply(&self.cell, 0, rec)?);
-        }
-        if !acks.is_empty() {
-            w.publish(&self.cell);
-        }
-        Ok(acks)
-    }
-
-    /// Serialized compaction (renumbers ids — see
-    /// [`PlanarIndexSet::compact`]); always publishes.
-    pub fn compact(&self) -> Vec<Option<PointId>> {
-        let mut w = self.lock_writer();
-        let set = w.unlogged(&self.cell);
-        // Reader observations land on the published epoch's tuner; fold
-        // them in so compact's internal retune sees the workload.
-        set.adopt_quant_window(&self.snapshot());
-        let remap = set.compact();
-        w.publish(&self.cell);
-        remap
-    }
-
-    /// The quantization policy active on the latest writer state (the
-    /// next publish carries it to readers).
-    pub fn quant_policy(&self) -> crate::quant::QuantPolicy {
-        self.lock_writer()
-            .read(&self.cell, PlanarIndexSet::quant_policy)
-    }
-
-    /// Install a quantization policy (see
-    /// [`PlanarIndexSet::set_quant_policy`]); always publishes so readers
-    /// get the re-encoded mirror immediately.
-    pub fn set_quant_policy(&self, policy: crate::quant::QuantPolicy) {
-        let mut w = self.lock_writer();
-        w.requantize(&self.cell, |set| set.set_quant_policy(policy));
-        w.publish(&self.cell);
-    }
-
-    /// Fold reader observations into the staged tuner, retune (see
-    /// [`crate::quant::retune`]), and publish the chosen policy.
-    pub fn retune_quantization(
-        &self,
-        cfg: &crate::quant::QuantAutotuneConfig,
-    ) -> crate::quant::QuantPolicy {
-        let mut w = self.lock_writer();
-        let policy = w.requantize(&self.cell, |set| {
-            set.adopt_quant_window(&self.snapshot());
-            set.retune_quantization(cfg)
-        });
-        w.publish(&self.cell);
-        policy
-    }
-
-    /// Publish the staged state now, regardless of the dirty counter.
-    /// Returns the published epoch.
-    pub fn publish(&self) -> u64 {
-        self.lock_writer().publish(&self.cell)
-    }
-
-    /// Sweep retired epochs whose grace period ended.
-    pub fn reclaim(&self) -> usize {
-        self.cell.reclaim()
-    }
-
-    /// Epoch bookkeeping (publish count, grace-period population, clone
-    /// and replay ledgers).
-    pub fn epoch_stats(&self) -> EpochStats {
-        self.cell.stats()
-    }
-}
-
-fn apply_planar_record<S: KeyStore + Clone>(
-    set: &mut PlanarIndexSet<S>,
+/// Apply one validated point mutation to a staged set.
+fn apply_record<S: KeyStore + Clone>(
+    set: &mut ShardedIndexSet<S>,
     rec: &WalRecord,
 ) -> Result<MutationAck> {
     match rec {
@@ -758,7 +547,7 @@ fn apply_planar_record<S: KeyStore + Clone>(
             let got = set.insert_point(row).map_err(internal_apply)?;
             if got != *id {
                 return Err(PlanarError::Internal(format!(
-                    "staged insert assigned id {got}, batch validation predicted {id}"
+                    "staged insert assigned global id {got}, routing predicted {id}"
                 )));
             }
             Ok(MutationAck::Inserted(got))
@@ -772,7 +561,7 @@ fn apply_planar_record<S: KeyStore + Clone>(
             Ok(MutationAck::Deleted)
         }
         _ => Err(PlanarError::Internal(
-            "only point mutations are batch-applied".into(),
+            "only point mutations are routed".into(),
         )),
     }
 }
@@ -783,950 +572,6 @@ fn internal_apply(e: PlanarError) -> PlanarError {
     ))
 }
 
-// ---------------------------------------------------------------------------
-// Concurrent sharded set (in-memory)
-// ---------------------------------------------------------------------------
-
-/// A [`ShardedIndexSet`] behind an [`EpochCell`]: the sharded counterpart
-/// of [`ConcurrentPlanarIndexSet`] (same epoch lifecycle, same publish
-/// cadence; snapshots answer through the shard-aware
-/// `query_batch`/`top_k_batch` fan-out).
-#[derive(Debug)]
-pub struct ConcurrentShardedIndexSet<S: KeyStore + Clone = VecStore> {
-    cell: EpochCell<ShardedIndexSet<S>>,
-    writer: Mutex<EpochWriter<ShardedIndexSet<S>>>,
-}
-
-impl<S: KeyStore + Clone> ConcurrentShardedIndexSet<S> {
-    /// Wrap `set` for concurrent serving.
-    pub fn new(set: ShardedIndexSet<S>, cfg: ConcurrencyConfig) -> Self {
-        Self {
-            cell: EpochCell::new(set),
-            writer: Mutex::new(EpochWriter::new(cfg)),
-        }
-    }
-
-    fn lock_writer(&self) -> MutexGuard<'_, EpochWriter<ShardedIndexSet<S>>> {
-        self.writer.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Pin the current epoch for reading.
-    pub fn snapshot(&self) -> Snapshot<ShardedIndexSet<S>> {
-        self.cell.load()
-    }
-
-    /// Serialized insert routed by the partitioner. See
-    /// [`ShardedIndexSet::insert_point`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ShardedIndexSet::insert_point`].
-    pub fn insert_point(&self, row: &[f64]) -> Result<PointId> {
-        let mut w = self.lock_writer();
-        let set = w.stage(&self.cell);
-        let id = set.insert_point(row)?;
-        let shard = set.shard_of(id).expect("a fresh insert is live");
-        w.record(
-            shard,
-            WalRecord::Insert {
-                id,
-                row: row.to_vec(),
-            },
-        );
-        w.settle(&self.cell);
-        Ok(id)
-    }
-
-    /// Serialized update. See [`ShardedIndexSet::update_point`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ShardedIndexSet::update_point`].
-    pub fn update_point(&self, id: PointId, row: &[f64]) -> Result<()> {
-        let mut w = self.lock_writer();
-        w.stage(&self.cell).update_point(id, row)?;
-        // Replayed updates and deletes find their shard by id.
-        w.record(
-            0,
-            WalRecord::Update {
-                id,
-                row: row.to_vec(),
-            },
-        );
-        w.settle(&self.cell);
-        Ok(())
-    }
-
-    /// Serialized delete. See [`ShardedIndexSet::delete_point`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ShardedIndexSet::delete_point`].
-    pub fn delete_point(&self, id: PointId) -> Result<()> {
-        let mut w = self.lock_writer();
-        w.stage(&self.cell).delete_point(id)?;
-        w.record(0, WalRecord::Delete { id });
-        w.settle(&self.cell);
-        Ok(())
-    }
-
-    /// Serialized threshold-gated compaction; always publishes. See
-    /// [`ShardedIndexSet::compact`].
-    pub fn compact(&self, threshold: f64) -> Vec<usize> {
-        let mut w = self.lock_writer();
-        let set = w.unlogged(&self.cell);
-        // Fold reader observations in so each compacted shard's internal
-        // retune sees the workload (see the planar wrapper's `compact`).
-        set.adopt_quant_window(&self.snapshot());
-        let compacted = set.compact(threshold);
-        w.publish(&self.cell);
-        compacted
-    }
-
-    /// Per-shard quantization policies on the latest writer state.
-    pub fn quant_policies(&self) -> Vec<crate::quant::QuantPolicy> {
-        self.lock_writer()
-            .read(&self.cell, ShardedIndexSet::quant_policies)
-    }
-
-    /// Install one quantization policy on every shard; always publishes.
-    pub fn set_quant_policy(&self, policy: crate::quant::QuantPolicy) {
-        let mut w = self.lock_writer();
-        w.requantize(&self.cell, |set| set.set_quant_policy(policy));
-        w.publish(&self.cell);
-    }
-
-    /// Fold reader observations into each shard's tuner, retune every
-    /// shard, and publish. Returns the policy now active per shard.
-    pub fn retune_quantization(
-        &self,
-        cfg: &crate::quant::QuantAutotuneConfig,
-    ) -> Vec<crate::quant::QuantPolicy> {
-        let mut w = self.lock_writer();
-        let policies = w.requantize(&self.cell, |set| {
-            set.adopt_quant_window(&self.snapshot());
-            set.retune_quantization(cfg)
-        });
-        w.publish(&self.cell);
-        policies
-    }
-
-    /// Publish the staged state now. Returns the published epoch.
-    pub fn publish(&self) -> u64 {
-        self.lock_writer().publish(&self.cell)
-    }
-
-    /// Sweep retired epochs whose grace period ended.
-    pub fn reclaim(&self) -> usize {
-        self.cell.reclaim()
-    }
-
-    /// Epoch bookkeeping.
-    pub fn epoch_stats(&self) -> EpochStats {
-        self.cell.stats()
-    }
-
-    /// Replication apply path: replay a contiguous batch of shipped WAL
-    /// records into the staged set through the same `replay_record` logic
-    /// recovery uses (divergence checks included), then publish **once**
-    /// for the whole batch.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::Persist`] on replay divergence (e.g. an insert id
-    /// already assigned): the staged set may be mid-batch, so the caller
-    /// must treat the replica as diverged and stop applying.
-    pub(crate) fn replay_replicated(&self, frames: &[(usize, Lsn, WalRecord)]) -> Result<()> {
-        if frames.is_empty() {
-            return Ok(());
-        }
-        let mut w = self.lock_writer();
-        for (shard, lsn, rec) in frames {
-            if let Err(e) = w.stage(&self.cell).replay_record(*shard, *lsn, rec) {
-                w.pending = None;
-                return Err(e);
-            }
-            w.record(*shard, rec.clone());
-        }
-        w.publish(&self.cell);
-        Ok(())
-    }
-
-    /// Consume the wrapper, returning the latest (staged, else published)
-    /// set — the failover-promotion handoff.
-    pub fn into_staged(self) -> ShardedIndexSet<S> {
-        let writer = self.writer.into_inner().unwrap_or_else(|e| e.into_inner());
-        writer.into_latest(self.cell)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Durable wrappers: epochs + group commit
-// ---------------------------------------------------------------------------
-
-/// The writer state of a durable wrapper: the epoch writer plus the WAL
-/// position and checkpoint generation it advances under the same lock.
-#[derive(Debug)]
-struct DurableWriter<T> {
-    epochs: EpochWriter<T>,
-    next_lsn: Lsn,
-    generation: u64,
-}
-
-/// `OnCheckpoint` group mode still writes (without fsync) once this many
-/// records are queued, so the in-memory commit queue stays bounded.
-const LAZY_FLUSH_RECORDS: u64 = 512;
-
-/// Acknowledge `lsn` on `queue` per the fsync policy: `Always` joins (or
-/// leads) a commit group and returns only once durable; the bounded-loss
-/// policies return immediately, flushing the queue when due.
-fn ack_lsn(queue: &GroupCommitQueue, fsync: FsyncPolicy, lsn: Lsn) -> Result<()> {
-    let due = match fsync {
-        FsyncPolicy::Always => return queue.wait_durable(lsn),
-        FsyncPolicy::EveryN(n) => u64::from(n.max(1)),
-        FsyncPolicy::OnCheckpoint => LAZY_FLUSH_RECORDS,
-    };
-    if queue.ack_lag() >= due {
-        queue.flush(false)?;
-    }
-    Ok(())
-}
-
-/// Epoch snapshot reads **plus** group-commit durability: the concurrent
-/// counterpart of [`DurablePlanarIndexSet`]. Mutations may be issued from
-/// any number of threads through `&self`; each one is write-ahead logged
-/// into a commit queue, applied to the staged set in LSN order, and —
-/// under [`FsyncPolicy::Always`] — acknowledged only once a commit-group
-/// leader's fsync covers its LSN. Concurrent mutators therefore share
-/// fsyncs instead of paying one each, and concurrent readers never block:
-/// they run against pinned epoch snapshots throughout.
-#[derive(Debug)]
-pub struct ConcurrentDurablePlanarIndexSet<S: KeyStore + Clone = VecStore> {
-    cell: EpochCell<PlanarIndexSet<S>>,
-    writer: Mutex<DurableWriter<PlanarIndexSet<S>>>,
-    queue: GroupCommitQueue,
-    dir: PathBuf,
-    fsync: FsyncPolicy,
-    save_opts: SaveOptions,
-}
-
-impl<S: KeyStore + Clone> ConcurrentDurablePlanarIndexSet<S> {
-    /// Initialize `dir` as a durable home for `set` and wrap it for
-    /// concurrent serving. See [`DurablePlanarIndexSet::create`].
-    ///
-    /// # Errors
-    ///
-    /// See [`DurablePlanarIndexSet::create`].
-    pub fn create(
-        dir: impl AsRef<Path>,
-        set: PlanarIndexSet<S>,
-        opts: WalOptions,
-        cfg: ConcurrencyConfig,
-    ) -> Result<Self> {
-        DurablePlanarIndexSet::create(dir, set, opts).map(|d| Self::from_durable(d, cfg))
-    }
-
-    /// Open a durable directory (recovering as
-    /// [`PlanarIndexSet::open_durable`] does) and wrap it for concurrent
-    /// serving.
-    ///
-    /// # Errors
-    ///
-    /// See [`PlanarIndexSet::open_durable`].
-    pub fn open(
-        dir: impl AsRef<Path>,
-        opts: WalOptions,
-        cfg: ConcurrencyConfig,
-    ) -> Result<(Self, RecoveryReport)> {
-        let (durable, report) = PlanarIndexSet::<S>::open_durable(dir, opts)?;
-        Ok((Self::from_durable(durable, cfg), report))
-    }
-
-    /// Re-wrap a single-writer durable set for concurrent serving: the
-    /// WAL writer moves into a group-commit queue and the set into an
-    /// epoch cell.
-    pub fn from_durable(durable: DurablePlanarIndexSet<S>, cfg: ConcurrencyConfig) -> Self {
-        let (set, wal, dir, generation, next_lsn, save_opts) = durable.into_parts();
-        let fsync = wal.options().fsync;
-        Self {
-            cell: EpochCell::new(set),
-            writer: Mutex::new(DurableWriter {
-                epochs: EpochWriter::new(cfg),
-                next_lsn,
-                generation,
-            }),
-            queue: GroupCommitQueue::new(wal),
-            dir,
-            fsync,
-            save_opts,
-        }
-    }
-
-    fn lock_writer(&self) -> MutexGuard<'_, DurableWriter<PlanarIndexSet<S>>> {
-        self.writer.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Pin the current epoch for reading.
-    pub fn snapshot(&self) -> Snapshot<PlanarIndexSet<S>> {
-        self.cell.load()
-    }
-
-    /// Log `rec` at the next LSN, apply it to the staged set and publish
-    /// when due. Returns the LSN to acknowledge and the apply's ack.
-    fn log_and_apply(
-        &self,
-        w: &mut DurableWriter<PlanarIndexSet<S>>,
-        rec: WalRecord,
-    ) -> Result<(Lsn, MutationAck)> {
-        let lsn = w.next_lsn;
-        self.queue.enqueue(lsn, rec.clone())?;
-        w.next_lsn = lsn + 1;
-        let ack = w.epochs.apply(&self.cell, 0, rec)?;
-        w.epochs.settle(&self.cell);
-        Ok((lsn, ack))
-    }
-
-    /// Group-committed insert. See [`PlanarIndexSet::insert_point`];
-    /// under `Always` the returned id is durable.
-    ///
-    /// # Errors
-    ///
-    /// Validation errors before logging, [`PlanarError::Persist`] if the
-    /// commit group's append/fsync failed (the mutation is *not*
-    /// acknowledged).
-    pub fn insert_point(&self, row: &[f64]) -> Result<PointId> {
-        let (lsn, ack) = {
-            let mut w = self.lock_writer();
-            let id = w.epochs.read(&self.cell, |set| {
-                validate_row(set.dim(), row).map(|()| set.table().len() as PointId)
-            })?;
-            let rec = WalRecord::Insert {
-                id,
-                row: row.to_vec(),
-            };
-            self.log_and_apply(&mut w, rec)?
-        };
-        ack_lsn(&self.queue, self.fsync, lsn)?;
-        match ack {
-            MutationAck::Inserted(id) => Ok(id),
-            _ => unreachable!("insert acks as Inserted"),
-        }
-    }
-
-    /// Group-committed update. See [`PlanarIndexSet::update_point`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::insert_point`], plus [`PlanarError::PointNotFound`].
-    pub fn update_point(&self, id: PointId, row: &[f64]) -> Result<()> {
-        let lsn = {
-            let mut w = self.lock_writer();
-            w.epochs.read(&self.cell, |set| {
-                validate_row(set.dim(), row)?;
-                if set.is_live(id) {
-                    Ok(())
-                } else {
-                    Err(PlanarError::PointNotFound(id))
-                }
-            })?;
-            let rec = WalRecord::Update {
-                id,
-                row: row.to_vec(),
-            };
-            self.log_and_apply(&mut w, rec)?.0
-        };
-        ack_lsn(&self.queue, self.fsync, lsn)
-    }
-
-    /// Group-committed delete. See [`PlanarIndexSet::delete_point`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::update_point`].
-    pub fn delete_point(&self, id: PointId) -> Result<()> {
-        let lsn = {
-            let mut w = self.lock_writer();
-            if !w.epochs.read(&self.cell, |set| set.is_live(id)) {
-                return Err(PlanarError::PointNotFound(id));
-            }
-            self.log_and_apply(&mut w, WalRecord::Delete { id })?.0
-        };
-        ack_lsn(&self.queue, self.fsync, lsn)
-    }
-
-    /// Group-committed mutation batch: the whole batch is validated up
-    /// front, logged contiguously, applied, published as **one** epoch,
-    /// and acknowledged by a single fsync (under `Always`). This is the
-    /// highest-throughput durable write path.
-    ///
-    /// # Errors
-    ///
-    /// As [`DurablePlanarIndexSet::apply_batch`].
-    pub fn apply_batch(&self, muts: &[Mutation]) -> Result<Vec<MutationAck>> {
-        if muts.is_empty() {
-            return Ok(Vec::new());
-        }
-        let (last_lsn, acks) = {
-            let mut w = self.lock_writer();
-            let records = w.epochs.read(&self.cell, |set| {
-                let next_id = set.table().len() as PointId;
-                validate_batch(set.dim(), next_id, |id| set.is_live(id), muts)
-            })?;
-            let first_lsn = w.next_lsn;
-            for (i, rec) in records.iter().enumerate() {
-                self.queue.enqueue(first_lsn + i as Lsn, rec.clone())?;
-            }
-            w.next_lsn = first_lsn + records.len() as Lsn;
-            let mut acks = Vec::with_capacity(records.len());
-            for rec in records {
-                acks.push(w.epochs.apply(&self.cell, 0, rec)?);
-            }
-            w.epochs.publish(&self.cell);
-            (w.next_lsn - 1, acks)
-        };
-        ack_lsn(&self.queue, self.fsync, last_lsn)?;
-        Ok(acks)
-    }
-
-    /// Force everything queued to stable storage now, regardless of the
-    /// fsync policy. Afterwards `wal_health()` shows
-    /// `acked_lsn == appended_lsn`.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::Persist`] on append/fsync failure.
-    pub fn sync(&self) -> Result<()> {
-        self.queue.flush(true)
-    }
-
-    /// Checkpoint-then-truncate (see
-    /// [`DurablePlanarIndexSet::checkpoint`]). Takes the writer lock, so
-    /// mutations block for the duration; readers keep serving from their
-    /// pinned epochs throughout.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::Persist`] on I/O failure.
-    pub fn checkpoint(&self) -> Result<Lsn> {
-        let mut w = self.lock_writer();
-        let watermark = w.next_lsn;
-        self.queue
-            .enqueue(watermark, WalRecord::Checkpoint { watermark })?;
-        w.next_lsn = watermark + 1;
-        self.queue.flush(true)?;
-        // Checkpoint cadence doubles as the autotuner's retune point;
-        // adopt reader observations from the published epoch first, and
-        // the snapshot below then carries the freshly chosen tier. The
-        // policy is derived state, so it needs no WAL record: replay
-        // without it yields identical answers, just unfiltered.
-        let generation = w.generation + 1;
-        w.epochs.requantize(&self.cell, |set| {
-            set.adopt_quant_window(&self.snapshot());
-            set.retune_quantization(&crate::quant::QuantAutotuneConfig::default());
-        });
-        w.epochs.stage(&self.cell).save_to_with(
-            snapshot_path(&self.dir, generation),
-            &mut crate::fault::StdIo,
-            &self.save_opts,
-        )?;
-        write_manifest(
-            &self.dir,
-            Manifest {
-                generation,
-                watermark,
-                term: self.queue.term(),
-            },
-        )?;
-        w.generation = generation;
-        self.queue
-            .with_writer(|wal| wal.truncate_all(watermark + 1))?;
-        sweep_snapshots(&self.dir, generation);
-        Ok(watermark)
-    }
-
-    /// Install a quantization policy; always publishes. Derived state —
-    /// not WAL-logged, so a crash before the next checkpoint recovers
-    /// with the tier from the last snapshot (answers are identical under
-    /// any tier by contract).
-    pub fn set_quant_policy(&self, policy: crate::quant::QuantPolicy) {
-        let mut w = self.lock_writer();
-        w.epochs
-            .requantize(&self.cell, |set| set.set_quant_policy(policy));
-        w.epochs.publish(&self.cell);
-    }
-
-    /// The quantization policy active on the latest writer state.
-    pub fn quant_policy(&self) -> crate::quant::QuantPolicy {
-        self.lock_writer()
-            .epochs
-            .read(&self.cell, PlanarIndexSet::quant_policy)
-    }
-
-    /// Publish the staged state now. Returns the published epoch.
-    pub fn publish(&self) -> u64 {
-        self.lock_writer().epochs.publish(&self.cell)
-    }
-
-    /// Sweep retired epochs whose grace period ended.
-    pub fn reclaim(&self) -> usize {
-        self.cell.reclaim()
-    }
-
-    /// Epoch bookkeeping.
-    pub fn epoch_stats(&self) -> EpochStats {
-        self.cell.stats()
-    }
-
-    /// WAL health including the group-commit watermarks
-    /// (`acked_lsn`/`appended_lsn`).
-    pub fn wal_health(&self) -> WalHealth {
-        self.queue.health()
-    }
-
-    /// Group-commit amortization counters (fsyncs, records per fsync).
-    pub fn group_commit_stats(&self) -> GroupCommitStats {
-        self.queue.stats()
-    }
-
-    /// Data fsyncs issued by the underlying WAL writer since opening.
-    pub fn fsync_count(&self) -> u64 {
-        self.queue.fsync_count()
-    }
-
-    /// Recover the group-commit queue from a fail-stop append/fsync
-    /// error: revalidate the log tail on disk, re-append any applied-but-
-    /// undurable records the failed drain parked, and resume accepting
-    /// mutations. Acks issued before the error still hold — they were
-    /// covered by an fsync at ack time and reopen never truncates below
-    /// the synced watermark. No-op on a healthy queue.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::Persist`] if the tail repair itself fails (the
-    /// queue stays fail-stopped and can be reopened again).
-    pub fn reopen_wal(&self) -> Result<WalHealth> {
-        self.queue.reopen()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Concurrent durable sharded set: epochs + per-shard group commit
-// ---------------------------------------------------------------------------
-
-/// The sharded counterpart of [`ConcurrentDurablePlanarIndexSet`]: epoch
-/// snapshot reads over a [`ShardedIndexSet`] with **one group-commit
-/// queue per shard WAL**. Mutations routed to different shards commit
-/// through independent queues (independent fsync leaders); mutations
-/// hitting the same shard share commit groups. The global LSN order is
-/// still assigned under one writer mutex, so recovery's cross-shard
-/// replay order is exactly the acknowledged order.
-#[derive(Debug)]
-pub struct ConcurrentDurableShardedIndexSet<S: KeyStore + Clone = VecStore> {
-    cell: EpochCell<ShardedIndexSet<S>>,
-    writer: Mutex<DurableWriter<ShardedIndexSet<S>>>,
-    queues: Vec<GroupCommitQueue>,
-    dir: PathBuf,
-    fsync: FsyncPolicy,
-    save_opts: SaveOptions,
-}
-
-impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
-    /// Initialize `dir` as a durable home for `set` and wrap it for
-    /// concurrent serving. See [`DurableShardedIndexSet::create`].
-    ///
-    /// # Errors
-    ///
-    /// See [`DurableShardedIndexSet::create`].
-    pub fn create(
-        dir: impl AsRef<Path>,
-        set: ShardedIndexSet<S>,
-        opts: WalOptions,
-        cfg: ConcurrencyConfig,
-    ) -> Result<Self> {
-        DurableShardedIndexSet::create(dir, set, opts).map(|d| Self::from_durable(d, cfg))
-    }
-
-    /// Open a durable sharded directory (recovering as
-    /// [`ShardedIndexSet::open_durable`] does) and wrap it for concurrent
-    /// serving.
-    ///
-    /// # Errors
-    ///
-    /// See [`ShardedIndexSet::open_durable`].
-    pub fn open(
-        dir: impl AsRef<Path>,
-        opts: WalOptions,
-        cfg: ConcurrencyConfig,
-    ) -> Result<(Self, ShardedRecoveryReport)> {
-        let (durable, report) = ShardedIndexSet::<S>::open_durable(dir, opts)?;
-        Ok((Self::from_durable(durable, cfg), report))
-    }
-
-    /// Re-wrap a single-writer durable sharded set for concurrent
-    /// serving: each shard's WAL writer moves into its own group-commit
-    /// queue.
-    pub fn from_durable(durable: DurableShardedIndexSet<S>, cfg: ConcurrencyConfig) -> Self {
-        let (set, wals, dir, generation, next_lsn, save_opts) = durable.into_parts();
-        let fsync = wals
-            .first()
-            .map(|w| w.options().fsync)
-            .unwrap_or(FsyncPolicy::Always);
-        let queues = wals.into_iter().map(GroupCommitQueue::new).collect();
-        Self {
-            cell: EpochCell::new(set),
-            writer: Mutex::new(DurableWriter {
-                epochs: EpochWriter::new(cfg),
-                next_lsn,
-                generation,
-            }),
-            queues,
-            dir,
-            fsync,
-            save_opts,
-        }
-    }
-
-    fn lock_writer(&self) -> MutexGuard<'_, DurableWriter<ShardedIndexSet<S>>> {
-        self.writer.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Pin the current epoch for reading.
-    pub fn snapshot(&self) -> Snapshot<ShardedIndexSet<S>> {
-        self.cell.load()
-    }
-
-    /// Install a replication [`QuorumGate`] on every shard's commit
-    /// queue: `FsyncPolicy::Always` acknowledgements are then released
-    /// only once the gate confirms the covering LSN (or fail typed with
-    /// [`crate::PlanarError::QuorumTimeout`]). Installed by
-    /// [`crate::replicate::Primary::set_ack_policy`]; the same gate
-    /// instance must be the one the primary publishes replica
-    /// confirmations into.
-    pub fn install_quorum_gate(&self, gate: QuorumGate) {
-        for q in &self.queues {
-            q.set_gate(Some(gate.clone()));
-        }
-    }
-
-    /// Remove any installed quorum gate: acknowledgements revert to
-    /// local-durability-only.
-    pub fn clear_quorum_gate(&self) {
-        for q in &self.queues {
-            q.set_gate(None);
-        }
-    }
-
-    /// Acknowledge `lsn` on shard `shard` per the fsync policy.
-    fn ack(&self, shard: usize, lsn: Lsn) -> Result<()> {
-        ack_lsn(&self.queues[shard], self.fsync, lsn)
-    }
-
-    /// Log `rec` at the next LSN on `shard`'s queue, apply it to the
-    /// staged set and publish when due. Returns the LSN and the ack.
-    fn log_and_apply(
-        &self,
-        w: &mut DurableWriter<ShardedIndexSet<S>>,
-        shard: usize,
-        rec: WalRecord,
-    ) -> Result<(Lsn, MutationAck)> {
-        let lsn = w.next_lsn;
-        self.queues[shard].enqueue(lsn, rec.clone())?;
-        w.next_lsn = lsn + 1;
-        let ack = w.epochs.apply(&self.cell, shard, rec)?;
-        w.epochs.settle(&self.cell);
-        Ok((lsn, ack))
-    }
-
-    /// Group-committed insert routed by the partitioner. See
-    /// [`DurableShardedIndexSet::insert_point`].
-    ///
-    /// # Errors
-    ///
-    /// As [`DurableShardedIndexSet::insert_point`] (a commit-group
-    /// append/fsync failure is *not* acknowledged).
-    pub fn insert_point(&self, row: &[f64]) -> Result<PointId> {
-        let (shard, lsn, ack) = {
-            let mut w = self.lock_writer();
-            let (id, shard) = w.epochs.read(&self.cell, |set| {
-                validate_row(set.dim(), row)?;
-                let id = set.next_global();
-                Ok::<_, PlanarError>((id, set.partitioner().route(id, row)))
-            })?;
-            let rec = WalRecord::Insert {
-                id,
-                row: row.to_vec(),
-            };
-            let (lsn, ack) = self.log_and_apply(&mut w, shard, rec)?;
-            (shard, lsn, ack)
-        };
-        self.ack(shard, lsn)?;
-        match ack {
-            MutationAck::Inserted(id) => Ok(id),
-            _ => unreachable!("insert acks as Inserted"),
-        }
-    }
-
-    /// Group-committed update on the point's shard. See
-    /// [`DurableShardedIndexSet::update_point`].
-    ///
-    /// # Errors
-    ///
-    /// As [`DurableShardedIndexSet::update_point`].
-    pub fn update_point(&self, id: PointId, row: &[f64]) -> Result<()> {
-        let (shard, lsn) = {
-            let mut w = self.lock_writer();
-            let shard = w.epochs.read(&self.cell, |set| {
-                validate_row(set.dim(), row)?;
-                set.shard_of(id).ok_or(PlanarError::PointNotFound(id))
-            })?;
-            let rec = WalRecord::Update {
-                id,
-                row: row.to_vec(),
-            };
-            (shard, self.log_and_apply(&mut w, shard, rec)?.0)
-        };
-        self.ack(shard, lsn)
-    }
-
-    /// Group-committed delete on the point's shard. See
-    /// [`DurableShardedIndexSet::delete_point`].
-    ///
-    /// # Errors
-    ///
-    /// As [`DurableShardedIndexSet::delete_point`].
-    pub fn delete_point(&self, id: PointId) -> Result<()> {
-        let (shard, lsn) = {
-            let mut w = self.lock_writer();
-            let shard = w
-                .epochs
-                .read(&self.cell, |set| set.shard_of(id))
-                .ok_or(PlanarError::PointNotFound(id))?;
-            let rec = WalRecord::Delete { id };
-            (shard, self.log_and_apply(&mut w, shard, rec)?.0)
-        };
-        self.ack(shard, lsn)
-    }
-
-    /// Group-committed mutation batch routed across shards: validated up
-    /// front, logged contiguously in global LSN order, applied, published
-    /// as one epoch, then acknowledged with at most one fsync **per
-    /// touched shard**.
-    ///
-    /// # Errors
-    ///
-    /// As [`DurableShardedIndexSet::apply_batch`].
-    pub fn apply_batch(&self, muts: &[Mutation]) -> Result<Vec<MutationAck>> {
-        if muts.is_empty() {
-            return Ok(Vec::new());
-        }
-        let (acks, touched) = {
-            let mut w = self.lock_writer();
-            let routed = w.epochs.read(&self.cell, |set| route_batch(set, muts))?;
-            let first_lsn = w.next_lsn;
-            let mut touched: Vec<Option<Lsn>> = vec![None; self.queues.len()];
-            for (i, (shard, rec)) in routed.iter().enumerate() {
-                let lsn = first_lsn + i as Lsn;
-                self.queues[*shard].enqueue(lsn, rec.clone())?;
-                touched[*shard] = Some(lsn);
-            }
-            w.next_lsn = first_lsn + routed.len() as Lsn;
-            let mut acks = Vec::with_capacity(routed.len());
-            for (shard, rec) in routed {
-                acks.push(w.epochs.apply(&self.cell, shard, rec)?);
-            }
-            w.epochs.publish(&self.cell);
-            (acks, touched)
-        };
-        for (shard, last) in touched.iter().enumerate() {
-            if let Some(lsn) = last {
-                self.ack(shard, *lsn)?;
-            }
-        }
-        Ok(acks)
-    }
-
-    /// Log-then-compact under group commit: the marker is broadcast to
-    /// **every** shard's queue at one shared LSN, then each shard
-    /// compacts (see [`DurableShardedIndexSet::compact`]). Readers keep
-    /// serving pinned epochs; the compacted state publishes immediately.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::Persist`] on append/fsync failure.
-    pub fn compact(&self, threshold: f64) -> Result<Vec<usize>> {
-        let (reclaimed, lsn) = {
-            let mut w = self.lock_writer();
-            let lsn = w.next_lsn;
-            let rec = WalRecord::Compact {
-                threshold: Some(threshold),
-            };
-            for queue in &self.queues {
-                queue.enqueue(lsn, rec.clone())?;
-            }
-            w.next_lsn = lsn + 1;
-            let set = w.epochs.unlogged(&self.cell);
-            // Fold reader observations in so each compacted shard's
-            // internal retune sees the workload.
-            set.adopt_quant_window(&self.snapshot());
-            let reclaimed = set.compact(threshold);
-            w.epochs.publish(&self.cell);
-            (reclaimed, lsn)
-        };
-        for shard in 0..self.queues.len() {
-            self.ack(shard, lsn)?;
-        }
-        Ok(reclaimed)
-    }
-
-    /// Force every shard's queue to stable storage now.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::Persist`] on append/fsync failure.
-    pub fn sync(&self) -> Result<()> {
-        for queue in &self.queues {
-            queue.flush(true)?;
-        }
-        Ok(())
-    }
-
-    /// Checkpoint-then-truncate across every shard (see
-    /// [`DurableShardedIndexSet::checkpoint`]). Mutations block for the
-    /// duration; readers keep serving from pinned epochs.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::Persist`] on I/O failure.
-    pub fn checkpoint(&self) -> Result<Lsn> {
-        let mut w = self.lock_writer();
-        let watermark = w.next_lsn;
-        for queue in &self.queues {
-            queue.enqueue(watermark, WalRecord::Checkpoint { watermark })?;
-            queue.flush(true)?;
-        }
-        w.next_lsn = watermark + 1;
-        // Retune each shard's quantization tier at checkpoint cadence —
-        // see the durable planar twin above for why no WAL record exists.
-        let generation = w.generation + 1;
-        w.epochs.requantize(&self.cell, |set| {
-            set.adopt_quant_window(&self.snapshot());
-            set.retune_quantization(&crate::quant::QuantAutotuneConfig::default());
-        });
-        w.epochs.stage(&self.cell).save_to_with(
-            snapshot_path(&self.dir, generation),
-            &mut crate::fault::StdIo,
-            &self.save_opts,
-        )?;
-        write_manifest(
-            &self.dir,
-            Manifest {
-                generation,
-                watermark,
-                term: self.term(),
-            },
-        )?;
-        w.generation = generation;
-        for queue in &self.queues {
-            queue.with_writer(|wal| wal.truncate_all(watermark + 1))?;
-        }
-        sweep_snapshots(&self.dir, generation);
-        Ok(watermark)
-    }
-
-    /// Install one quantization policy on every shard; always publishes.
-    /// Derived state — not WAL-logged (see the durable planar twin).
-    pub fn set_quant_policy(&self, policy: crate::quant::QuantPolicy) {
-        let mut w = self.lock_writer();
-        w.epochs
-            .requantize(&self.cell, |set| set.set_quant_policy(policy));
-        w.epochs.publish(&self.cell);
-    }
-
-    /// Per-shard quantization policies on the latest writer state.
-    pub fn quant_policies(&self) -> Vec<crate::quant::QuantPolicy> {
-        self.lock_writer()
-            .epochs
-            .read(&self.cell, ShardedIndexSet::quant_policies)
-    }
-
-    /// Publish the staged state now. Returns the published epoch.
-    pub fn publish(&self) -> u64 {
-        self.lock_writer().epochs.publish(&self.cell)
-    }
-
-    /// Sweep retired epochs whose grace period ended.
-    pub fn reclaim(&self) -> usize {
-        self.cell.reclaim()
-    }
-
-    /// Epoch bookkeeping.
-    pub fn epoch_stats(&self) -> EpochStats {
-        self.cell.stats()
-    }
-
-    /// Aggregate WAL health across every shard's queue (the merge keeps
-    /// the most conservative `acked_lsn`).
-    pub fn wal_health(&self) -> WalHealth {
-        let mut h = WalHealth::default();
-        for queue in &self.queues {
-            h.merge(&queue.health());
-        }
-        h
-    }
-
-    /// Group-commit counters summed across shards.
-    pub fn group_commit_stats(&self) -> GroupCommitStats {
-        let mut total = GroupCommitStats::default();
-        for queue in &self.queues {
-            let s = queue.stats();
-            total.fsyncs += s.fsyncs;
-            total.committed_records += s.committed_records;
-            total.max_group = total.max_group.max(s.max_group);
-        }
-        total
-    }
-
-    /// Data fsyncs summed across every shard's WAL writer.
-    pub fn fsync_count(&self) -> u64 {
-        self.queues.iter().map(GroupCommitQueue::fsync_count).sum()
-    }
-
-    /// Recover every shard's group-commit queue from a fail-stop error
-    /// (see [`ConcurrentDurablePlanarIndexSet::reopen_wal`]). Healthy
-    /// queues are untouched; the merged health keeps the most
-    /// conservative acked watermark.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::Persist`] if any shard's tail repair fails.
-    pub fn reopen_wal(&self) -> Result<WalHealth> {
-        let mut h = WalHealth::default();
-        for queue in &self.queues {
-            h.merge(&queue.reopen()?);
-        }
-        Ok(h)
-    }
-
-    /// The durable directory this set checkpoints into.
-    pub(crate) fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Number of shard WALs (= shard count).
-    pub(crate) fn num_queues(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Highest replication term across the shard WAL writers.
-    pub(crate) fn term(&self) -> u64 {
-        self.queues
-            .iter()
-            .map(GroupCommitQueue::term)
-            .max()
-            .unwrap_or(0)
-    }
-}
-
 /// Validate a batch and route each mutation to its shard: inserts by the
 /// partitioner, updates and deletes by the owning shard (points born
 /// earlier in the batch route to their recorded shard, killed points are
@@ -1734,7 +579,7 @@ impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
 fn route_batch<S: KeyStore + Clone>(
     set: &ShardedIndexSet<S>,
     muts: &[Mutation],
-) -> Result<Vec<(usize, WalRecord)>> {
+) -> Result<Vec<Logged>> {
     let dim = set.dim();
     let mut born: Vec<(PointId, usize)> = Vec::new();
     let mut killed: Vec<PointId> = Vec::new();
@@ -1785,31 +630,658 @@ fn route_batch<S: KeyStore + Clone>(
     Ok(routed)
 }
 
-fn apply_sharded_record<S: KeyStore + Clone>(
-    set: &mut ShardedIndexSet<S>,
-    rec: &WalRecord,
-) -> Result<MutationAck> {
-    match rec {
-        WalRecord::Insert { id, row } => {
-            let got = set.insert_point(row).map_err(internal_apply)?;
-            if got != *id {
-                return Err(PlanarError::Internal(format!(
-                    "staged insert assigned global id {got}, batch routing predicted {id}"
-                )));
+// ---------------------------------------------------------------------------
+// Group commit
+// ---------------------------------------------------------------------------
+
+/// `OnCheckpoint` group mode still writes (without fsync) once this many
+/// records are queued, so the in-memory commit queue stays bounded.
+const LAZY_FLUSH_RECORDS: u64 = 512;
+
+/// Acknowledge `lsn` on `queue` per the fsync policy: `Always` joins (or
+/// leads) a commit group and returns only once durable; the bounded-loss
+/// policies return immediately, flushing the queue when due.
+fn ack_lsn(queue: &GroupCommitQueue, fsync: FsyncPolicy, lsn: Lsn) -> Result<()> {
+    let due = match fsync {
+        FsyncPolicy::Always => return queue.wait_durable(lsn),
+        FsyncPolicy::EveryN(n) => u64::from(n.max(1)),
+        FsyncPolicy::OnCheckpoint => LAZY_FLUSH_RECORDS,
+    };
+    if queue.ack_lag() >= due {
+        queue.flush(false)?;
+    }
+    Ok(())
+}
+
+/// A durable engine's write-ahead side: one group-commit queue per shard
+/// WAL, the directory checkpoints go to, and the ack policy.
+#[derive(Debug)]
+struct Wal {
+    queues: Vec<GroupCommitQueue>,
+    dir: PathBuf,
+    fsync: FsyncPolicy,
+    save_opts: SaveOptions,
+}
+
+impl Wal {
+    /// Acknowledge, per shard, the last LSN logged on it (`None`: the
+    /// shard was not touched).
+    fn ack(&self, touched: &[Option<Lsn>]) -> Result<()> {
+        for (queue, lsn) in self.queues.iter().zip(touched) {
+            if let Some(lsn) = lsn {
+                ack_lsn(queue, self.fsync, *lsn)?;
             }
-            Ok(MutationAck::Inserted(got))
         }
-        WalRecord::Update { id, row } => {
-            set.update_point(*id, row).map_err(internal_apply)?;
-            Ok(MutationAck::Updated)
+        Ok(())
+    }
+}
+
+/// The writer state: the epoch writer plus the WAL position and
+/// checkpoint generation it advances under the same lock (an in-memory
+/// engine never reads the last two).
+#[derive(Debug)]
+struct Writer<S: KeyStore + Clone> {
+    epochs: EpochWriter<S>,
+    next_lsn: Lsn,
+    generation: u64,
+}
+
+// ---------------------------------------------------------------------------
+// The concurrent engine
+// ---------------------------------------------------------------------------
+
+/// A [`ShardedIndexSet`] behind an [`EpochCell`]: lock-free snapshot
+/// reads from any number of threads (snapshots answer through the
+/// shard-aware `query_batch`/`top_k_batch` fan-out), mutations from any
+/// thread serialized by an internal writer mutex. See the module docs for
+/// the epoch lifecycle. A one-shard set is the unsharded topology.
+///
+/// The constructor picks durability. [`Self::new`] serves from memory.
+/// [`Self::create`] and [`Self::open`] add **one group-commit queue per
+/// shard WAL**: every mutation is write-ahead logged into its shard's
+/// queue, applied to the staged set in LSN order, and — under
+/// [`FsyncPolicy::Always`] — acknowledged only once a commit-group
+/// leader's fsync covers its LSN. Mutations routed to different shards
+/// commit through independent queues (independent fsync leaders);
+/// mutations hitting the same shard share commit groups. The global LSN
+/// order is still assigned under the writer mutex, so recovery's
+/// cross-shard replay order is exactly the acknowledged order.
+#[derive(Debug)]
+pub struct ConcurrentShardedIndexSet<S: KeyStore + Clone = VecStore> {
+    cell: EpochCell<ShardedIndexSet<S>>,
+    writer: Mutex<Writer<S>>,
+    /// The write-ahead log; `None` for an in-memory engine.
+    wal: Option<Wal>,
+}
+
+/// The durable engine's former name. In-memory and durable engines are
+/// one type, picked by the constructor; the name stays because the
+/// benchmark harness under `stackbench/` names it, and that harness must
+/// build unchanged against every revision it compares.
+pub type ConcurrentDurableShardedIndexSet<S = VecStore> = ConcurrentShardedIndexSet<S>;
+
+impl<S: KeyStore + Clone> ConcurrentShardedIndexSet<S> {
+    /// Wrap `set` for concurrent in-memory serving.
+    pub fn new(set: ShardedIndexSet<S>, cfg: ConcurrencyConfig) -> Self {
+        Self::assemble(set, cfg, None, 1, 0)
+    }
+
+    /// Initialize `dir` as a durable home for `set` — snapshot generation
+    /// 1, the manifest at watermark 0, one empty WAL per shard — and wrap
+    /// it for concurrent serving.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanarError::Persist`] on I/O failure or if `dir` already holds
+    /// a durable index.
+    pub fn create(
+        dir: impl AsRef<Path>,
+        set: ShardedIndexSet<S>,
+        opts: WalOptions,
+        cfg: ConcurrencyConfig,
+    ) -> Result<Self> {
+        let dir = dir.as_ref();
+        ensure_fresh_dir(dir)?;
+        set.save_to(snapshot_path(dir, 1))?;
+        write_manifest(
+            dir,
+            Manifest {
+                generation: 1,
+                watermark: 0,
+                term: 0,
+            },
+        )?;
+        let wals = (0..set.num_shards())
+            .map(|shard| WalWriter::open_repair(&shard_wal_dir(dir, shard), opts).map(|w| w.0))
+            .collect::<Result<Vec<_>>>()?;
+        let next_lsn = wals.iter().map(WalWriter::last_lsn).max().unwrap_or(0) + 1;
+        let dir = dir.to_path_buf();
+        Ok(Self::from_wals(
+            set,
+            wals,
+            dir,
+            1,
+            next_lsn,
+            SaveOptions::default(),
+            cfg,
+        ))
+    }
+
+    /// Open a durable directory and wrap it for concurrent serving: load
+    /// the newest valid snapshot ([`ShardedIndexSet::load_or_recover`]
+    /// semantics), repair every shard's WAL tail, and replay each shard's
+    /// records above the manifest's LSN watermark. The report carries
+    /// snapshot *and* replay provenance; its `shard_watermarks` give each
+    /// shard's last applied LSN. Torn tails are truncated and reported —
+    /// never an error.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanarError::Persist`] if the directory was never initialized
+    /// ([`Self::create`]), on real I/O failures, on replay divergence, or
+    /// if the snapshot core itself is unrecoverable.
+    pub fn open(
+        dir: impl AsRef<Path>,
+        opts: WalOptions,
+        cfg: ConcurrencyConfig,
+    ) -> Result<(Self, ShardedRecoveryReport)> {
+        let dir = dir.as_ref();
+        let m = read_manifest(dir)?;
+        let (mut set, mut report) =
+            ShardedIndexSet::<S>::load_or_recover(snapshot_path(dir, m.generation))?;
+        let mut wals = Vec::with_capacity(set.num_shards());
+        let mut watermarks = vec![m.watermark; set.num_shards()];
+        let mut max_lsn = m.watermark;
+        for (shard, watermark) in watermarks.iter_mut().enumerate() {
+            let (mut wal, scan) = WalWriter::open_repair(&shard_wal_dir(dir, shard), opts)?;
+            // The manifest carries the authoritative replication term;
+            // adopt it if it is ahead of anything the segments carry.
+            wal.set_term(m.term);
+            for (lsn, rec) in scan.frames.iter().filter(|(lsn, _)| *lsn > m.watermark) {
+                set.replay_record(shard, *lsn, rec)?;
+                *watermark = *lsn;
+                report.wal_replayed += 1;
+            }
+            report.wal_dropped += scan.dropped_records;
+            report.wal_torn_bytes += scan.torn_bytes;
+            max_lsn = max_lsn.max(wal.last_lsn()).max(*watermark);
+            wals.push(wal);
         }
-        WalRecord::Delete { id } => {
-            set.delete_point(*id).map_err(internal_apply)?;
-            Ok(MutationAck::Deleted)
+        report.shard_watermarks = watermarks;
+        sweep_snapshots(dir, m.generation);
+        let (dir, next_lsn) = (dir.to_path_buf(), max_lsn + 1);
+        let engine = Self::from_wals(
+            set,
+            wals,
+            dir,
+            m.generation,
+            next_lsn,
+            SaveOptions::default(),
+            cfg,
+        );
+        Ok((engine, report))
+    }
+
+    /// A durable engine over shard WALs already open for appending — what
+    /// `create`, `open` and failover promotion build. The caller
+    /// guarantees `set` is exactly the replay of `wals` over snapshot
+    /// `generation` in `dir`.
+    pub(crate) fn from_wals(
+        set: ShardedIndexSet<S>,
+        wals: Vec<WalWriter>,
+        dir: PathBuf,
+        generation: u64,
+        next_lsn: Lsn,
+        save_opts: SaveOptions,
+        cfg: ConcurrencyConfig,
+    ) -> Self {
+        let fsync = wals
+            .first()
+            .map_or(FsyncPolicy::Always, |w| w.options().fsync);
+        let wal = Wal {
+            queues: wals.into_iter().map(GroupCommitQueue::new).collect(),
+            dir,
+            fsync,
+            save_opts,
+        };
+        Self::assemble(set, cfg, Some(wal), next_lsn, generation)
+    }
+
+    fn assemble(
+        set: ShardedIndexSet<S>,
+        cfg: ConcurrencyConfig,
+        wal: Option<Wal>,
+        next_lsn: Lsn,
+        generation: u64,
+    ) -> Self {
+        Self {
+            cell: EpochCell::new(set),
+            writer: Mutex::new(Writer {
+                epochs: EpochWriter::new(cfg),
+                next_lsn,
+                generation,
+            }),
+            wal,
         }
-        _ => Err(PlanarError::Internal(
-            "only point mutations are batch-applied".into(),
-        )),
+    }
+
+    fn lock_writer(&self) -> MutexGuard<'_, Writer<S>> {
+        self.writer.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The write-ahead log, or a typed error for an in-memory engine.
+    fn durable(&self) -> Result<&Wal> {
+        self.wal
+            .as_ref()
+            .ok_or_else(|| walerr("this engine was built in memory and has no write-ahead log"))
+    }
+
+    /// Pin the current epoch for reading. Queries on the snapshot are the
+    /// plain [`ShardedIndexSet`] API (`query`, `query_batch`,
+    /// `top_k_batch`, …) and run with no synchronization whatsoever.
+    pub fn snapshot(&self) -> Snapshot<ShardedIndexSet<S>> {
+        self.cell.load()
+    }
+
+    /// Route the mutations `route` returns against the latest state, log
+    /// them (durable engines only), apply them to the staged set, and
+    /// publish — now for a `batch`, else per the cadence. Acknowledges
+    /// per touched shard after releasing the writer lock.
+    fn commit(
+        &self,
+        batch: bool,
+        route: impl FnOnce(&ShardedIndexSet<S>) -> Result<Vec<Logged>>,
+    ) -> Result<Vec<MutationAck>> {
+        let (acks, touched) = {
+            let mut w = self.lock_writer();
+            let routed = w.epochs.read(&self.cell, route)?;
+            if routed.is_empty() {
+                return Ok(Vec::new());
+            }
+            let touched = self.log(&mut w, &routed)?;
+            let mut acks = Vec::with_capacity(routed.len());
+            for (shard, rec) in routed {
+                acks.push(w.epochs.apply(&self.cell, shard, rec)?);
+            }
+            if batch {
+                w.epochs.publish(&self.cell);
+            } else {
+                w.epochs.settle(&self.cell);
+            }
+            (acks, touched)
+        };
+        if let Some(wal) = &self.wal {
+            wal.ack(&touched)?;
+        }
+        Ok(acks)
+    }
+
+    /// Enqueue `routed` at consecutive LSNs on each record's shard queue
+    /// (nothing in memory). Returns the last LSN logged per shard.
+    fn log(&self, w: &mut Writer<S>, routed: &[Logged]) -> Result<Vec<Option<Lsn>>> {
+        let Some(wal) = &self.wal else {
+            return Ok(Vec::new());
+        };
+        let mut touched = vec![None; wal.queues.len()];
+        for (lsn, (shard, rec)) in (w.next_lsn..).zip(routed) {
+            wal.queues[*shard].enqueue(lsn, rec.clone())?;
+            touched[*shard] = Some(lsn);
+        }
+        w.next_lsn += routed.len() as Lsn;
+        Ok(touched)
+    }
+
+    /// Insert routed by the partitioner; publishes per
+    /// [`ConcurrencyConfig::publish_every`]. On a durable engine under
+    /// `Always` the returned id is durable.
+    ///
+    /// # Errors
+    ///
+    /// Row validation errors before logging; [`PlanarError::Persist`] if
+    /// the commit group's append/fsync failed (the mutation is *not*
+    /// acknowledged).
+    pub fn insert_point(&self, row: &[f64]) -> Result<PointId> {
+        let acks = self.commit(false, |set| {
+            validate_row(set.dim(), row)?;
+            let id = set.next_global();
+            let rec = WalRecord::Insert {
+                id,
+                row: row.to_vec(),
+            };
+            Ok(vec![(set.partitioner().route(id, row), rec)])
+        })?;
+        match acks[..] {
+            [MutationAck::Inserted(id)] => Ok(id),
+            _ => unreachable!("an insert acks as Inserted"),
+        }
+    }
+
+    /// Update on the point's shard. See [`ShardedIndexSet::update_point`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::insert_point`], plus [`PlanarError::PointNotFound`].
+    pub fn update_point(&self, id: PointId, row: &[f64]) -> Result<()> {
+        self.commit(false, |set| {
+            validate_row(set.dim(), row)?;
+            let shard = set.shard_of(id).ok_or(PlanarError::PointNotFound(id))?;
+            let rec = WalRecord::Update {
+                id,
+                row: row.to_vec(),
+            };
+            Ok(vec![(shard, rec)])
+        })
+        .map(drop)
+    }
+
+    /// Delete on the point's shard. See [`ShardedIndexSet::delete_point`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::update_point`].
+    pub fn delete_point(&self, id: PointId) -> Result<()> {
+        self.commit(false, |set| {
+            let shard = set.shard_of(id).ok_or(PlanarError::PointNotFound(id))?;
+            Ok(vec![(shard, WalRecord::Delete { id })])
+        })
+        .map(drop)
+    }
+
+    /// Apply a whole mutation batch under one writer-lock acquisition:
+    /// validated and routed up front (updates and deletes may target
+    /// points born earlier in the batch), logged contiguously in global
+    /// LSN order, applied, published as **one** epoch so readers observe
+    /// it atomically, and acknowledged with at most one fsync **per
+    /// touched shard** under `Always`. Returns per-mutation acks in batch
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// Validation errors before anything is logged or applied (the batch
+    /// is all-or-nothing); [`PlanarError::Persist`] on append/fsync
+    /// failure.
+    pub fn apply_batch(&self, muts: &[Mutation]) -> Result<Vec<MutationAck>> {
+        self.commit(true, |set| route_batch(set, muts))
+    }
+
+    /// Threshold-gated compaction (see [`ShardedIndexSet::compact`]);
+    /// always publishes. A durable engine first logs the marker to
+    /// **every** shard's queue at one shared LSN. Readers keep serving
+    /// pinned epochs.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanarError::Persist`] on append/fsync failure.
+    pub fn compact(&self, threshold: f64) -> Result<Vec<usize>> {
+        let (compacted, lsn) = {
+            let mut w = self.lock_writer();
+            let lsn = w.next_lsn;
+            if let Some(wal) = &self.wal {
+                let rec = WalRecord::Compact {
+                    threshold: Some(threshold),
+                };
+                for queue in &wal.queues {
+                    queue.enqueue(lsn, rec.clone())?;
+                }
+                w.next_lsn = lsn + 1;
+            }
+            let set = w.epochs.unlogged(&self.cell);
+            // Reader observations land on the published epoch's tuner;
+            // fold them in so each compacted shard's internal retune sees
+            // the workload.
+            set.adopt_quant_window(&self.snapshot());
+            let compacted = set.compact(threshold);
+            w.epochs.publish(&self.cell);
+            (compacted, lsn)
+        };
+        if let Some(wal) = &self.wal {
+            wal.ack(&vec![Some(lsn); wal.queues.len()])?;
+        }
+        Ok(compacted)
+    }
+
+    /// Force every shard's queue to stable storage now, regardless of the
+    /// fsync policy. Afterwards `wal_health()` shows
+    /// `acked_lsn == appended_lsn`.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanarError::Persist`] on append/fsync failure, or when the
+    /// engine is in-memory.
+    pub fn sync(&self) -> Result<()> {
+        for queue in &self.durable()?.queues {
+            queue.flush(true)?;
+        }
+        Ok(())
+    }
+
+    /// Checkpoint-then-truncate across every shard: log a `Checkpoint`
+    /// marker, fsync, write the next snapshot generation, publish it in
+    /// the manifest, then drop the covered WAL segments. Every step is
+    /// crash-safe. Mutations block for the duration; readers keep serving
+    /// from pinned epochs. Returns the new watermark.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanarError::Persist`] on I/O failure, or when the engine is
+    /// in-memory.
+    pub fn checkpoint(&self) -> Result<Lsn> {
+        let wal = self.durable()?;
+        let mut w = self.lock_writer();
+        let watermark = w.next_lsn;
+        for queue in &wal.queues {
+            queue.enqueue(watermark, WalRecord::Checkpoint { watermark })?;
+            queue.flush(true)?;
+        }
+        w.next_lsn = watermark + 1;
+        // Checkpoint cadence doubles as the autotuner's retune point;
+        // adopt reader observations from the published epoch first, and
+        // the snapshot below then carries the freshly chosen tiers. The
+        // policy is derived state, so it needs no WAL record: replay
+        // without it yields identical answers, just unfiltered.
+        let generation = w.generation + 1;
+        w.epochs.requantize(&self.cell, |set| {
+            set.adopt_quant_window(&self.snapshot());
+            set.retune_quantization(&crate::quant::QuantAutotuneConfig::default());
+        });
+        w.epochs.stage(&self.cell).save_to_with(
+            snapshot_path(&wal.dir, generation),
+            &mut crate::fault::StdIo,
+            &wal.save_opts,
+        )?;
+        write_manifest(
+            &wal.dir,
+            Manifest {
+                generation,
+                watermark,
+                term: self.term(),
+            },
+        )?;
+        w.generation = generation;
+        for queue in &wal.queues {
+            queue.with_writer(|wal| wal.truncate_all(watermark + 1))?;
+        }
+        sweep_snapshots(&wal.dir, generation);
+        Ok(watermark)
+    }
+
+    /// Per-shard quantization policies on the latest writer state (the
+    /// next publish carries them to readers).
+    pub fn quant_policies(&self) -> Vec<crate::quant::QuantPolicy> {
+        self.lock_writer()
+            .epochs
+            .read(&self.cell, ShardedIndexSet::quant_policies)
+    }
+
+    /// Install one quantization policy on every shard; always publishes
+    /// so readers get the re-encoded mirror immediately. Derived state —
+    /// not WAL-logged, so a crash before the next checkpoint recovers
+    /// with the tiers from the last snapshot (answers are identical under
+    /// any tier by contract).
+    pub fn set_quant_policy(&self, policy: crate::quant::QuantPolicy) {
+        let mut w = self.lock_writer();
+        w.epochs
+            .requantize(&self.cell, |set| set.set_quant_policy(policy));
+        w.epochs.publish(&self.cell);
+    }
+
+    /// Fold reader observations into each shard's tuner, retune every
+    /// shard (see [`crate::quant::retune`]), and publish. Returns the
+    /// policy now active per shard.
+    pub fn retune_quantization(
+        &self,
+        cfg: &crate::quant::QuantAutotuneConfig,
+    ) -> Vec<crate::quant::QuantPolicy> {
+        let mut w = self.lock_writer();
+        let policies = w.epochs.requantize(&self.cell, |set| {
+            set.adopt_quant_window(&self.snapshot());
+            set.retune_quantization(cfg)
+        });
+        w.epochs.publish(&self.cell);
+        policies
+    }
+
+    /// Publish the staged state now, regardless of the dirty counter.
+    /// Returns the published epoch.
+    pub fn publish(&self) -> u64 {
+        self.lock_writer().epochs.publish(&self.cell)
+    }
+
+    /// Sweep retired epochs whose grace period ended.
+    pub fn reclaim(&self) -> usize {
+        self.cell.reclaim()
+    }
+
+    /// Epoch bookkeeping (publish count, grace-period population, clone
+    /// and replay ledgers).
+    pub fn epoch_stats(&self) -> EpochStats {
+        self.cell.stats()
+    }
+
+    /// WAL health merged across every shard's queue (the merge keeps the
+    /// most conservative `acked_lsn`); the default for an in-memory
+    /// engine.
+    pub fn wal_health(&self) -> WalHealth {
+        let mut h = WalHealth::default();
+        for queue in self.wal.iter().flat_map(|wal| &wal.queues) {
+            h.merge(&queue.health());
+        }
+        h
+    }
+
+    /// Group-commit amortization counters summed across shards; the
+    /// default for an in-memory engine.
+    pub fn group_commit_stats(&self) -> GroupCommitStats {
+        let mut total = GroupCommitStats::default();
+        for queue in self.wal.iter().flat_map(|wal| &wal.queues) {
+            let s = queue.stats();
+            total.fsyncs += s.fsyncs;
+            total.committed_records += s.committed_records;
+            total.max_group = total.max_group.max(s.max_group);
+        }
+        total
+    }
+
+    /// Data fsyncs summed across every shard's WAL writer (0 in memory).
+    pub fn fsync_count(&self) -> u64 {
+        self.wal
+            .iter()
+            .flat_map(|wal| &wal.queues)
+            .map(GroupCommitQueue::fsync_count)
+            .sum()
+    }
+
+    /// Recover every shard's group-commit queue from a fail-stop
+    /// append/fsync error: revalidate the log tail on disk, re-append any
+    /// applied-but-undurable records the failed drain parked, and resume
+    /// accepting mutations. Acks issued before the error still hold —
+    /// they were covered by an fsync at ack time and reopen never
+    /// truncates below the synced watermark. Healthy queues are
+    /// untouched; the merged health keeps the most conservative acked
+    /// watermark.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanarError::Persist`] if any shard's tail repair fails (the
+    /// queue stays fail-stopped and can be reopened again), or when the
+    /// engine is in-memory.
+    pub fn reopen_wal(&self) -> Result<WalHealth> {
+        let mut h = WalHealth::default();
+        for queue in &self.durable()?.queues {
+            h.merge(&queue.reopen()?);
+        }
+        Ok(h)
+    }
+
+    /// Install a replication [`QuorumGate`] on every shard's commit
+    /// queue: `FsyncPolicy::Always` acknowledgements are then released
+    /// only once the gate confirms the covering LSN (or fail typed with
+    /// [`crate::PlanarError::QuorumTimeout`]). Installed by
+    /// [`crate::replicate::Primary::set_ack_policy`]; the same gate
+    /// instance must be the one the primary publishes replica
+    /// confirmations into.
+    pub fn install_quorum_gate(&self, gate: QuorumGate) {
+        for queue in self.wal.iter().flat_map(|wal| &wal.queues) {
+            queue.set_gate(Some(gate.clone()));
+        }
+    }
+
+    /// Remove any installed quorum gate: acknowledgements revert to
+    /// local-durability-only.
+    pub fn clear_quorum_gate(&self) {
+        for queue in self.wal.iter().flat_map(|wal| &wal.queues) {
+            queue.set_gate(None);
+        }
+    }
+
+    /// The durable directory this engine checkpoints into (`None` in
+    /// memory).
+    pub(crate) fn dir(&self) -> Option<&Path> {
+        self.wal.as_ref().map(|wal| wal.dir.as_path())
+    }
+
+    /// Highest replication term across the shard WAL writers (0 in
+    /// memory).
+    pub(crate) fn term(&self) -> u64 {
+        self.wal
+            .iter()
+            .flat_map(|wal| &wal.queues)
+            .map(GroupCommitQueue::term)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Replication apply path: replay a contiguous batch of shipped WAL
+    /// records into the staged set through the same `replay_record` logic
+    /// recovery uses (divergence checks included), then publish **once**
+    /// for the whole batch.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanarError::Persist`] on replay divergence (e.g. an insert id
+    /// already assigned): the staged set may be mid-batch, so the caller
+    /// must treat the replica as diverged and stop applying.
+    pub(crate) fn replay_replicated(&self, frames: &[(usize, Lsn, WalRecord)]) -> Result<()> {
+        if frames.is_empty() {
+            return Ok(());
+        }
+        let mut w = self.lock_writer();
+        for (shard, lsn, rec) in frames {
+            if let Err(e) = w.epochs.stage(&self.cell).replay_record(*shard, *lsn, rec) {
+                w.epochs.pending = None;
+                return Err(e);
+            }
+            w.epochs.record(*shard, rec.clone());
+        }
+        w.epochs.publish(&self.cell);
+        Ok(())
+    }
+
+    /// Consume the engine, returning the latest (staged, else published)
+    /// set — the failover-promotion handoff.
+    pub fn into_staged(self) -> ShardedIndexSet<S> {
+        let writer = self.writer.into_inner().unwrap_or_else(|e| e.into_inner());
+        writer.epochs.into_latest(self.cell)
     }
 }
 
@@ -1820,16 +1292,28 @@ mod tests {
     use crate::fault::TempDir;
     use crate::multi::IndexConfig;
     use crate::query::{Cmp, InequalityQuery};
+    use crate::shard::ShardConfig;
     use crate::table::FeatureTable;
     use crate::VecStore;
 
-    fn small_set(n: usize) -> PlanarIndexSet<VecStore> {
-        let rows: Vec<Vec<f64>> = (0..n)
-            .map(|i| vec![1.0 + (i % 13) as f64, 1.0 + (i % 7) as f64])
-            .collect();
+    fn set_of(rows: Vec<Vec<f64>>, budget: usize, shards: usize) -> ShardedIndexSet {
         let table = FeatureTable::from_rows(2, rows).unwrap();
         let domain = ParameterDomain::uniform_continuous(2, 0.5, 2.0).unwrap();
-        PlanarIndexSet::build(table, domain, IndexConfig::with_budget(4)).unwrap()
+        ShardedIndexSet::<VecStore>::build(
+            table,
+            domain,
+            IndexConfig::with_budget(budget),
+            ShardConfig::round_robin(shards),
+        )
+        .unwrap()
+    }
+
+    /// The unsharded topology: one shard.
+    fn small_set(n: usize) -> ShardedIndexSet {
+        let rows = (0..n)
+            .map(|i| vec![1.0 + (i % 13) as f64, 1.0 + (i % 7) as f64])
+            .collect();
+        set_of(rows, 4, 1)
     }
 
     fn probe(b: f64) -> InequalityQuery {
@@ -1838,7 +1322,7 @@ mod tests {
 
     #[test]
     fn snapshots_pin_epochs_and_reclaim_after_grace() {
-        let conc = ConcurrentPlanarIndexSet::new(small_set(40), ConcurrencyConfig::default());
+        let conc = ConcurrentShardedIndexSet::new(small_set(40), ConcurrencyConfig::default());
         let pinned = conc.snapshot();
         assert_eq!(pinned.epoch(), 1);
         assert_eq!(pinned.len(), 40);
@@ -1893,7 +1377,7 @@ mod tests {
 
     #[test]
     fn writes_replay_the_spare_and_clone_only_when_it_is_pinned() {
-        let conc = ConcurrentPlanarIndexSet::new(small_set(40), ConcurrencyConfig::default());
+        let conc = ConcurrentShardedIndexSet::new(small_set(40), ConcurrencyConfig::default());
         let mut twin = small_set(40);
         for i in 0..6 {
             let row = [1.0 + i as f64, 2.0];
@@ -1938,8 +1422,7 @@ mod tests {
         let tmp = TempDir::new("conc_ckpt_replay").unwrap();
         let opts = WalOptions::default().fsync(FsyncPolicy::EveryN(8));
         let cfg = ConcurrencyConfig::default();
-        let conc =
-            ConcurrentDurablePlanarIndexSet::create(tmp.path(), small_set(20), opts, cfg).unwrap();
+        let conc = ConcurrentShardedIndexSet::create(tmp.path(), small_set(20), opts, cfg).unwrap();
         conc.insert_point(&[2.0, 4.0]).unwrap();
         conc.checkpoint().unwrap();
         conc.insert_point(&[3.0, 4.0]).unwrap();
@@ -1954,7 +1437,7 @@ mod tests {
 
     #[test]
     fn batch_publishes_one_epoch_and_matches_serial() {
-        let conc = ConcurrentPlanarIndexSet::new(small_set(30), ConcurrencyConfig::default());
+        let conc = ConcurrentShardedIndexSet::new(small_set(30), ConcurrencyConfig::default());
         let mut twin = small_set(30);
         let muts = vec![
             Mutation::Insert {
@@ -1989,7 +1472,7 @@ mod tests {
 
     #[test]
     fn batch_validation_is_all_or_nothing() {
-        let conc = ConcurrentPlanarIndexSet::new(small_set(10), ConcurrencyConfig::default());
+        let conc = ConcurrentShardedIndexSet::new(small_set(10), ConcurrencyConfig::default());
         let muts = vec![
             Mutation::Insert {
                 row: vec![2.0, 2.0],
@@ -2007,7 +1490,7 @@ mod tests {
     #[test]
     fn publish_cadence_batches_epochs() {
         let cfg = ConcurrencyConfig::default().publish_every(4);
-        let conc = ConcurrentPlanarIndexSet::new(small_set(10), cfg);
+        let conc = ConcurrentShardedIndexSet::new(small_set(10), cfg);
         for i in 0..3 {
             conc.insert_point(&[2.0 + i as f64, 2.0]).unwrap();
         }
@@ -2022,20 +1505,11 @@ mod tests {
 
     #[test]
     fn sharded_snapshots_match_twin() {
-        use crate::shard::{ShardConfig, ShardedIndexSet};
         let build = || {
-            let rows: Vec<Vec<f64>> = (0..60)
+            let rows = (0..60)
                 .map(|i| vec![1.0 + (i % 11) as f64, 1.0 + (i % 6) as f64])
                 .collect();
-            let table = FeatureTable::from_rows(2, rows).unwrap();
-            let domain = ParameterDomain::uniform_continuous(2, 0.5, 2.0).unwrap();
-            ShardedIndexSet::<VecStore>::build(
-                table,
-                domain,
-                IndexConfig::with_budget(3),
-                ShardConfig::round_robin(3),
-            )
-            .unwrap()
+            set_of(rows, 3, 3)
         };
         let conc = ConcurrentShardedIndexSet::new(build(), ConcurrencyConfig::default());
         let mut twin = build();
@@ -2065,7 +1539,7 @@ mod tests {
     /// name is load-bearing).
     #[test]
     fn tsan_smoke_readers_race_writer() {
-        let conc = std::sync::Arc::new(ConcurrentPlanarIndexSet::new(
+        let conc = std::sync::Arc::new(ConcurrentShardedIndexSet::new(
             small_set(50),
             ConcurrencyConfig::default(),
         ));
@@ -2099,11 +1573,28 @@ mod tests {
     }
 
     #[test]
+    fn in_memory_engine_refuses_durability_calls_with_typed_errors() {
+        let conc = ConcurrentShardedIndexSet::new(small_set(10), ConcurrencyConfig::default());
+        assert!(conc.dir().is_none());
+        conc.insert_point(&[2.0, 2.0]).unwrap();
+        assert_eq!(conc.compact(0.0).unwrap(), Vec::<usize>::new());
+        assert!(matches!(conc.sync(), Err(PlanarError::Persist(_))));
+        assert!(matches!(conc.checkpoint(), Err(PlanarError::Persist(_))));
+        assert!(matches!(conc.reopen_wal(), Err(PlanarError::Persist(_))));
+        assert_eq!(conc.wal_health(), WalHealth::default());
+        assert_eq!(conc.group_commit_stats(), GroupCommitStats::default());
+        assert_eq!(conc.fsync_count(), 0);
+        // The refusals changed nothing: the insert is still served.
+        assert_eq!(conc.snapshot().len(), 11);
+        assert_eq!(conc.epoch_stats().published, 2);
+    }
+
+    #[test]
     fn durable_concurrent_group_commit_roundtrip() {
         let tmp = TempDir::new("conc_durable").unwrap();
         let opts = WalOptions::default(); // Always: every ack durable
         let conc = std::sync::Arc::new(
-            ConcurrentDurablePlanarIndexSet::create(
+            ConcurrentShardedIndexSet::create(
                 tmp.path(),
                 small_set(40),
                 opts,
@@ -2111,6 +1602,7 @@ mod tests {
             )
             .unwrap(),
         );
+        assert!(conc.dir().is_some());
         // 4 mutator threads share commit groups.
         std::thread::scope(|s| {
             for t in 0..4u32 {
@@ -2134,7 +1626,7 @@ mod tests {
 
         // Kill without checkpoint; recovery must replay all 32.
         drop(conc);
-        let (recovered, report) = ConcurrentDurablePlanarIndexSet::<VecStore>::open(
+        let (recovered, report) = ConcurrentShardedIndexSet::<VecStore>::open(
             tmp.path(),
             opts,
             ConcurrencyConfig::default(),
@@ -2148,7 +1640,7 @@ mod tests {
     fn durable_concurrent_checkpoint_truncates_and_reopens() {
         let tmp = TempDir::new("conc_ckpt").unwrap();
         let opts = WalOptions::default().fsync(FsyncPolicy::EveryN(8));
-        let conc = ConcurrentDurablePlanarIndexSet::create(
+        let conc = ConcurrentShardedIndexSet::create(
             tmp.path(),
             small_set(20),
             opts,
@@ -2169,7 +1661,7 @@ mod tests {
         assert_eq!(watermark, 11);
         conc.delete_point(5).unwrap();
         drop(conc);
-        let (recovered, report) = ConcurrentDurablePlanarIndexSet::<VecStore>::open(
+        let (recovered, report) = ConcurrentShardedIndexSet::<VecStore>::open(
             tmp.path(),
             opts,
             ConcurrencyConfig::default(),
@@ -2181,24 +1673,15 @@ mod tests {
 
     #[test]
     fn sharded_durable_concurrent_routes_and_recovers() {
-        use crate::shard::{ShardConfig, ShardedIndexSet};
         let tmp = TempDir::new("conc_shard_durable").unwrap();
         let opts = WalOptions::default(); // Always
         let build = || {
-            let rows: Vec<Vec<f64>> = (0..30)
+            let rows = (0..30)
                 .map(|i| vec![1.0 + (i % 9) as f64, 1.0 + (i % 5) as f64])
                 .collect();
-            let table = FeatureTable::from_rows(2, rows).unwrap();
-            let domain = ParameterDomain::uniform_continuous(2, 0.5, 2.0).unwrap();
-            ShardedIndexSet::<VecStore>::build(
-                table,
-                domain,
-                IndexConfig::with_budget(3),
-                ShardConfig::round_robin(3),
-            )
-            .unwrap()
+            set_of(rows, 3, 3)
         };
-        let conc = ConcurrentDurableShardedIndexSet::create(
+        let conc = ConcurrentShardedIndexSet::create(
             tmp.path(),
             build(),
             opts,
@@ -2233,7 +1716,7 @@ mod tests {
         twin.insert_point(&[8.0, 8.0]).unwrap();
         drop(conc);
 
-        let (recovered, report) = ConcurrentDurableShardedIndexSet::<VecStore>::open(
+        let (recovered, report) = ConcurrentShardedIndexSet::<VecStore>::open(
             tmp.path(),
             opts,
             ConcurrencyConfig::default(),

@@ -493,7 +493,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     }
 
     /// Adopt another instance's tuner window (see
-    /// [`crate::quant::QuantTuner::adopt`]). The concurrent wrappers call
+    /// [`crate::quant::QuantTuner::adopt`]). The concurrent engine calls
     /// this with the published epoch's clone — where reader observations
     /// actually land — before retuning the staged writer set.
     pub fn adopt_quant_window(&self, other: &Self) {
@@ -502,7 +502,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
 
     /// Start a fresh observation window (see
     /// [`crate::quant::QuantTuner::reset_window`]): the concurrent
-    /// wrappers' writer resets each copy it stages, so every published
+    /// engine's writer resets each copy it stages, so every published
     /// epoch counts only the reads made against it.
     pub(crate) fn reset_quant_window(&self) {
         self.quant_tuner.reset_window();
@@ -511,7 +511,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     /// Re-evaluate the quantization policy from the observed workload (see
     /// [`crate::quant::retune`]), apply the result, and return it. Called
     /// automatically by [`Self::compact`]; callers with checkpoint cadence
-    /// (e.g. the durable wrappers) invoke it there too.
+    /// (e.g. the durable engines) invoke it there too.
     pub fn retune_quantization(
         &mut self,
         cfg: &crate::quant::QuantAutotuneConfig,

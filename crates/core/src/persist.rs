@@ -795,7 +795,8 @@ pub struct ShardedRecoveryReport {
     /// Per-shard recovery reports.
     pub shards: Vec<RecoveryReport>,
     /// WAL records replayed across all shards (only
-    /// [`ShardedIndexSet::open_durable`] replays; 0 for plain loads).
+    /// [`crate::ConcurrentShardedIndexSet::open`] replays; 0 for plain
+    /// loads).
     pub wal_replayed: usize,
     /// WAL records dropped at or after the first invalid frame, summed
     /// across shards.

@@ -3,7 +3,7 @@
 //!
 //! The per-shard, CRC-framed, LSN-ordered write-ahead log of
 //! `crate::wal` is already a replication stream — this module ships it.
-//! A [`Primary`] wraps a [`ConcurrentDurableShardedIndexSet`] and tails
+//! A [`Primary`] wraps a durable [`ConcurrentShardedIndexSet`] and tails
 //! its own segment files with one cursor per attached replica; a
 //! [`Replica`] bootstraps by installing the primary's latest checkpoint
 //! snapshot, then replays shipped frames through the same
@@ -97,17 +97,14 @@ use std::time::{Duration, Instant};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::backoff::Backoff;
-use crate::concurrent::{
-    ConcurrencyConfig, ConcurrentDurableShardedIndexSet, ConcurrentShardedIndexSet, EpochStats,
-    Snapshot,
-};
+use crate::concurrent::{ConcurrencyConfig, ConcurrentShardedIndexSet, EpochStats, Snapshot};
 use crate::persist::{install_snapshot_bytes, SaveOptions};
 use crate::shard::ShardedIndexSet;
 use crate::store::{KeyStore, VecStore};
 use crate::wal::{
     init_shard_wals, parse_frame, read_manifest, shard_wal_dir, snapshot_path, wal_root,
-    write_manifest, DurableShardedIndexSet, Lsn, Manifest, Mutation, MutationAck, QuorumGate,
-    TailedFrame, WalOptions, WalRecord, WalTailer, WalWriter,
+    write_manifest, Lsn, Manifest, Mutation, MutationAck, QuorumGate, TailedFrame, WalOptions,
+    WalRecord, WalTailer, WalWriter,
 };
 use crate::{PlanarError, Result};
 
@@ -1213,14 +1210,16 @@ impl std::fmt::Debug for Link {
     }
 }
 
-/// The write side of a replication group: a
-/// [`ConcurrentDurableShardedIndexSet`] plus per-replica shipping state.
+/// The write side of a replication group: a durable
+/// [`ConcurrentShardedIndexSet`] plus per-replica shipping state.
 /// Mutate and query through [`Primary::store`]; call [`Primary::pump`]
 /// periodically (or after write bursts) to ship, heartbeat, and drain
 /// acks.
 #[derive(Debug)]
 pub struct Primary<S: KeyStore + Clone = VecStore> {
-    store: Arc<ConcurrentDurableShardedIndexSet<S>>,
+    store: Arc<ConcurrentShardedIndexSet<S>>,
+    /// The store's durable directory: the WAL segments the links tail.
+    dir: PathBuf,
     cfg: FailoverConfig,
     links: Vec<Link>,
     next_link_id: u32,
@@ -1233,20 +1232,35 @@ pub struct Primary<S: KeyStore + Clone = VecStore> {
 
 impl<S: KeyStore + Clone> Primary<S> {
     /// Wrap `store` for replication. No replicas are attached yet.
-    pub fn new(store: ConcurrentDurableShardedIndexSet<S>, cfg: FailoverConfig) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`PlanarError::Persist`] when `store` is in-memory: replication
+    /// ships its WAL, so the store must come from
+    /// [`ConcurrentShardedIndexSet::create`] or
+    /// [`ConcurrentShardedIndexSet::open`].
+    pub fn new(store: ConcurrentShardedIndexSet<S>, cfg: FailoverConfig) -> Result<Self> {
         Self::from_shared(Arc::new(store), cfg)
     }
 
     /// Wrap an already-shared store — the same `Arc` can simultaneously
-    /// serve queries (e.g. through `planar-serve`, whose `Engine` is
-    /// implemented for `Arc<ConcurrentDurableShardedIndexSet<_>>` via
-    /// deref) while this primary replicates it.
+    /// serve queries (e.g. through `planar-serve`'s `Server::start`)
+    /// while this primary replicates it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::new`].
     pub fn from_shared(
-        store: Arc<ConcurrentDurableShardedIndexSet<S>>,
+        store: Arc<ConcurrentShardedIndexSet<S>>,
         cfg: FailoverConfig,
-    ) -> Self {
-        Self {
+    ) -> Result<Self> {
+        let dir = store
+            .dir()
+            .ok_or_else(|| shiperr("an in-memory engine has no WAL to replicate"))?
+            .to_path_buf();
+        Ok(Self {
             store,
+            dir,
             cfg,
             links: Vec::new(),
             next_link_id: 0,
@@ -1255,7 +1269,7 @@ impl<S: KeyStore + Clone> Primary<S> {
             stats: ReplicationStats::default(),
             ack_policy: AckPolicy::Async,
             gate: None,
-        }
+        })
     }
 
     /// The underlying store: mutations, reads, and stats go through it
@@ -1263,20 +1277,20 @@ impl<S: KeyStore + Clone> Primary<S> {
     /// `store().checkpoint()` — the latter truncates segments under the
     /// link cursors, which heals (automatic re-seed) but costs every
     /// lagging replica a snapshot reinstall.
-    pub fn store(&self) -> &ConcurrentDurableShardedIndexSet<S> {
+    pub fn store(&self) -> &ConcurrentShardedIndexSet<S> {
         &self.store
     }
 
     /// A shared handle to the store, for serving reads/writes from other
     /// threads while this primary pumps replication.
-    pub fn shared_store(&self) -> Arc<ConcurrentDurableShardedIndexSet<S>> {
+    pub fn shared_store(&self) -> Arc<ConcurrentShardedIndexSet<S>> {
         Arc::clone(&self.store)
     }
 
     /// Consume the wrapper and return the (possibly still shared) store.
     /// Any installed quorum gate is removed first — without a pump
     /// publishing confirmations it could only time out.
-    pub fn into_store(self) -> Arc<ConcurrentDurableShardedIndexSet<S>> {
+    pub fn into_store(self) -> Arc<ConcurrentShardedIndexSet<S>> {
         self.store.clear_quorum_gate();
         self.store
     }
@@ -1396,12 +1410,12 @@ impl<S: KeyStore + Clone> Primary<S> {
     fn attach(&mut self, down: Box<dyn Transport>, up: Box<dyn Transport>, pending: bool) -> u32 {
         let id = self.next_link_id;
         self.next_link_id += 1;
-        let shards = self.store.num_queues();
+        let shards = self.store.snapshot().num_shards();
         self.links.push(Link {
             id,
             down,
             up,
-            tailer: ShardedTailer::new(self.store.dir(), shards, 1),
+            tailer: ShardedTailer::new(&self.dir, shards, 1),
             outbox: VecDeque::new(),
             backoff: Backoff::new(
                 self.cfg.backoff_base_ms,
@@ -1425,7 +1439,7 @@ impl<S: KeyStore + Clone> Primary<S> {
     ///
     /// # Errors
     ///
-    /// See [`ConcurrentDurableShardedIndexSet::checkpoint`].
+    /// See [`ConcurrentShardedIndexSet::checkpoint`].
     pub fn checkpoint(&mut self) -> Result<Lsn> {
         let watermark = self.store.checkpoint()?;
         for link in &mut self.links {
@@ -1527,7 +1541,7 @@ impl<S: KeyStore + Clone> Primary<S> {
                 // resume and re-seed.
             } else if link.needs_seed {
                 if link.backoff.ready(now_ms) {
-                    match seed_link(&self.store, link, term) {
+                    match seed_link(&self.dir, link, term) {
                         Ok(()) => {
                             link.needs_seed = false;
                             link.last_progress_ms = now_ms;
@@ -1612,7 +1626,7 @@ impl<S: KeyStore + Clone> Primary<S> {
 
     fn drain_acks(&mut self, now_ms: u64) {
         let my_term = self.term();
-        let dir = self.store.dir().to_path_buf();
+        let dir = &self.dir;
         for link in &mut self.links {
             loop {
                 let raw = match link.up.recv() {
@@ -1658,7 +1672,7 @@ impl<S: KeyStore + Clone> Primary<S> {
                         // checkpoint truncation outran this replica and
                         // only a fresh seed can catch it up.
                         let resumable =
-                            acked > 0 && read_manifest(&dir).is_ok_and(|m| acked >= m.watermark);
+                            acked > 0 && read_manifest(dir).is_ok_and(|m| acked >= m.watermark);
                         if resumable {
                             link.outbox.clear();
                             link.tailer.reset(acked + 1);
@@ -1690,13 +1704,9 @@ impl<S: KeyStore + Clone> Primary<S> {
 
 /// Ship the latest durable snapshot down a link and rebase its cursor
 /// past the snapshot watermark.
-fn seed_link<S: KeyStore + Clone>(
-    store: &ConcurrentDurableShardedIndexSet<S>,
-    link: &mut Link,
-    term: u64,
-) -> Result<()> {
-    let manifest = read_manifest(store.dir())?;
-    let bytes = fs::read(snapshot_path(store.dir(), manifest.generation))
+fn seed_link(dir: &Path, link: &mut Link, term: u64) -> Result<()> {
+    let manifest = read_manifest(dir)?;
+    let bytes = fs::read(snapshot_path(dir, manifest.generation))
         .map_err(|e| shipio("read checkpoint snapshot", e))?;
     let msg = ShipMessage::Snapshot {
         term: term.max(manifest.term),
@@ -2041,7 +2051,7 @@ impl<S: KeyStore + Clone> Replica<S> {
     /// Promote this replica to a primary under `term + 1`: fsync the
     /// mirrored WALs, stamp the new term into the manifest and future
     /// segments, and reassemble a writable
-    /// [`ConcurrentDurableShardedIndexSet`] over the same directory.
+    /// durable [`ConcurrentShardedIndexSet`] over the same directory.
     /// Frames still in the reorder buffer (beyond the contiguous applied
     /// prefix) are discarded — they were never acked.
     ///
@@ -2068,16 +2078,16 @@ impl<S: KeyStore + Clone> Replica<S> {
                 term: new_term,
             },
         )?;
-        let durable = DurableShardedIndexSet::from_parts(
+        let store = ConcurrentShardedIndexSet::from_wals(
             state.set.into_staged(),
             state.wals,
             self.dir,
             self.generation,
             self.applied + 1,
             self.save_opts,
+            ccfg,
         );
-        let store = ConcurrentDurableShardedIndexSet::from_durable(durable, ccfg);
-        Ok(Primary::new(store, self.cfg))
+        Primary::new(store, self.cfg)
     }
 
     fn check_diverged(&self) -> Result<()> {
@@ -2325,20 +2335,40 @@ mod tests {
         (Box::new(t.clone()), Box::new(t))
     }
 
+    #[test]
+    fn primary_refuses_an_in_memory_engine() {
+        let store = ConcurrentShardedIndexSet::new(build_sharded(12), ConcurrencyConfig::default());
+        assert!(matches!(
+            Primary::new(store, FailoverConfig::default()),
+            Err(PlanarError::Persist(_))
+        ));
+        let shared = Arc::new(ConcurrentShardedIndexSet::new(
+            build_sharded(12),
+            ConcurrencyConfig::default(),
+        ));
+        assert!(matches!(
+            Primary::from_shared(Arc::clone(&shared), FailoverConfig::default()),
+            Err(PlanarError::Persist(_))
+        ));
+        // The refused engine still serves.
+        shared.insert_point(&[2.0, 3.0]).unwrap();
+        assert_eq!(shared.snapshot().len(), 13);
+    }
+
     /// A primary over a fresh temp dir plus one attached replica over
     /// in-process channels.
     fn primary_replica(n: usize) -> (TempDir, TempDir, Primary<VecStore>, Replica<VecStore>) {
         let pdir = TempDir::new("repl_primary").unwrap();
         let rdir = TempDir::new("repl_replica").unwrap();
         let opts = WalOptions::default().fsync(FsyncPolicy::EveryN(4));
-        let store = ConcurrentDurableShardedIndexSet::create(
+        let store = ConcurrentShardedIndexSet::create(
             pdir.path(),
             build_sharded(n),
             opts,
             ConcurrencyConfig::default(),
         )
         .unwrap();
-        let mut primary = Primary::new(store, FailoverConfig::default());
+        let mut primary = Primary::new(store, FailoverConfig::default()).unwrap();
         let (down_tx, down_rx) = pipe();
         let (up_tx, up_rx) = pipe();
         primary.add_replica(down_tx, up_rx);
@@ -2503,14 +2533,14 @@ mod tests {
         let pdir = TempDir::new("repl_quorum2").unwrap();
         let rdir = TempDir::new("repl_quorum2_r").unwrap();
         let opts = WalOptions::default().fsync(FsyncPolicy::EveryN(4));
-        let store = ConcurrentDurableShardedIndexSet::create(
+        let store = ConcurrentShardedIndexSet::create(
             pdir.path(),
             build_sharded(30),
             opts,
             ConcurrencyConfig::default(),
         )
         .unwrap();
-        let mut primary = Primary::new(store, FailoverConfig::default());
+        let mut primary = Primary::new(store, FailoverConfig::default()).unwrap();
         let mut replicas = Vec::new();
         for i in 0..2u32 {
             let (down_tx, down_rx) = pipe();
@@ -2713,7 +2743,7 @@ mod tests {
         assert_eq!(health.max_lag, 0);
         let mut agg = crate::stats::StatsAggregator::new();
         agg.record_replication(&health);
-        agg.record_durable_sharded(primary.store());
+        agg.record_engine(primary.store());
         let snap = agg.snapshot();
         assert_eq!(snap.replication_lag, 0);
         assert_eq!(snap.replication_min_acked_lsn, appended);

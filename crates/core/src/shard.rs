@@ -555,7 +555,7 @@ impl<S: KeyStore> ShardedIndexSet<S> {
 
     /// Adopt another instance's per-shard tuner windows (see
     /// [`PlanarIndexSet::adopt_quant_window`]). Shard counts always match:
-    /// the concurrent wrappers only pair a staged set with the published
+    /// the concurrent engine only pairs a staged set with the published
     /// epoch it was copied from.
     pub fn adopt_quant_window(&self, other: &Self) {
         for (mine, theirs) in self.shards.iter().zip(&other.shards) {
@@ -625,8 +625,8 @@ impl<S: KeyStore> ShardedIndexSet<S> {
     }
 
     /// The shard serving this live **global** id, or `None` for unknown
-    /// or deleted ids. Used by the durable wrapper (`crate::wal`) to route
-    /// update/delete records to the owning shard's log.
+    /// or deleted ids. Used by the concurrent engine to route update and
+    /// delete records to the owning shard's log.
     pub fn shard_of(&self, id: PointId) -> Option<usize> {
         self.live_slot(id).ok().map(|(shard, _)| shard)
     }

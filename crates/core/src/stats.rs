@@ -324,21 +324,21 @@ impl StatsAggregator {
         self.gc_max_group = stats.max_group;
     }
 
-    /// Stamp a durable sharded wrapper's **entire** lifecycle state in
-    /// one call: WAL health (including the group-commit
-    /// `appended`/`acked` watermarks), epoch ledger, and group-commit
-    /// counters. Before this existed callers stamped the three pieces
-    /// individually and durable *sharded* wrappers routinely missed one,
-    /// so replication lag could not be computed from a single
-    /// [`Self::snapshot`]; now `wal_ack_lag` and the epoch reclaim
-    /// counters are always coherent — they come from the same recording.
-    pub fn record_durable_sharded<S>(&mut self, set: &crate::ConcurrentDurableShardedIndexSet<S>)
+    /// Stamp a concurrent engine's **entire** lifecycle state in one
+    /// call: the epoch ledger always, plus — when the engine is durable —
+    /// WAL health (including the group-commit `appended`/`acked`
+    /// watermarks) and group-commit counters. One recording keeps
+    /// `wal_ack_lag` and the epoch reclaim counters coherent; an
+    /// in-memory engine leaves the WAL fields at zero.
+    pub fn record_engine<S>(&mut self, engine: &crate::ConcurrentShardedIndexSet<S>)
     where
         S: crate::KeyStore + Clone,
     {
-        self.record_wal(&set.wal_health());
-        self.record_epoch(&set.epoch_stats());
-        self.record_group_commit(&set.group_commit_stats());
+        self.record_epoch(&engine.epoch_stats());
+        if engine.dir().is_some() {
+            self.record_wal(&engine.wal_health());
+            self.record_group_commit(&engine.group_commit_stats());
+        }
     }
 
     /// Stamp the latest replication health (see

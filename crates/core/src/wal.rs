@@ -64,9 +64,8 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::multi::{PlanarIndexSet, QueryOutcome, TopKOutcome};
 use crate::parallel::ExecutionConfig;
-use crate::persist::{RecoveryReport, SaveOptions, ShardedRecoveryReport};
+use crate::persist::{RecoveryReport, SaveOptions};
 use crate::query::{InequalityQuery, TopKQuery};
-use crate::shard::{ShardedIndexSet, ShardedQueryOutcome, ShardedTopKOutcome};
 use crate::store::{KeyStore, VecStore};
 use crate::table::PointId;
 use crate::{PlanarError, Result};
@@ -294,7 +293,7 @@ pub enum MutationAck {
 /// infallible: inserts are assigned ids `next_id, next_id+1, …`, and
 /// updates/deletes may target both pre-existing live points and ids born
 /// (and not yet re-deleted) earlier in the same batch.
-pub(crate) fn validate_batch(
+fn validate_batch(
     dim: usize,
     next_id: PointId,
     is_live: impl Fn(PointId) -> bool,
@@ -744,6 +743,11 @@ impl WalWriter {
         self.term = self.term.max(term);
     }
 
+    /// The last LSN appended (or found on disk at open).
+    pub(crate) fn last_lsn(&self) -> Lsn {
+        self.last_lsn
+    }
+
     /// The options this writer was opened with.
     pub(crate) fn options(&self) -> &WalOptions {
         &self.opts
@@ -1007,7 +1011,7 @@ impl WalTailer {
 // ---------------------------------------------------------------------------
 
 /// Counters describing how well group commit is amortizing fsyncs,
-/// exposed by the concurrent durable wrappers and stamped into
+/// exposed by the durable concurrent engine and stamped into
 /// [`crate::StatsSnapshot`] via [`crate::StatsAggregator::record_group_commit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GroupCommitStats {
@@ -1218,7 +1222,7 @@ impl GroupCommitQueue {
     }
 
     /// Enqueue one record. `lsn` must be assigned under the caller's
-    /// serialization (the concurrent wrappers hold their writer mutex), so
+    /// serialization (the concurrent engine holds its writer mutex), so
     /// `pending` stays LSN-ordered.
     pub(crate) fn enqueue(&self, lsn: Lsn, rec: WalRecord) -> Result<()> {
         let mut st = self.lock();
@@ -1500,7 +1504,7 @@ impl GroupCommitQueue {
 impl Drop for GroupCommitQueue {
     /// Best-effort drain on clean shutdown: write any still-queued frames
     /// (fsyncing only if the writer's policy says so), matching the
-    /// single-writer wrappers where every append reaches the file
+    /// single-writer `DurablePlanarIndexSet`, where every append reaches the file
     /// immediately. A crash before this runs is exactly the bounded-loss
     /// window the fsync policy already permits for unacknowledged work.
     fn drop(&mut self) {
@@ -1586,7 +1590,7 @@ pub(crate) fn sweep_snapshots(dir: &Path, current: u64) {
     }
 }
 
-fn ensure_fresh_dir(dir: &Path) -> Result<()> {
+pub(crate) fn ensure_fresh_dir(dir: &Path) -> Result<()> {
     fs::create_dir_all(dir).map_err(|e| walio("create durable dir", e))?;
     if dir.join(MANIFEST_FILE).exists() {
         return Err(walerr(format!(
@@ -1921,21 +1925,6 @@ impl<S: KeyStore> DurablePlanarIndexSet<S> {
         Ok(acks)
     }
 
-    /// Decompose into the pieces the concurrent wrapper re-assembles
-    /// around a [`GroupCommitQueue`].
-    pub(crate) fn into_parts(
-        self,
-    ) -> (PlanarIndexSet<S>, WalWriter, PathBuf, u64, Lsn, SaveOptions) {
-        (
-            self.set,
-            self.wal,
-            self.dir,
-            self.generation,
-            self.next_lsn,
-            self.save_opts,
-        )
-    }
-
     /// Checkpoint-then-truncate: append a `Checkpoint` marker, fsync the
     /// log, atomically write the next snapshot generation, publish it in
     /// the manifest, then delete the covered WAL segments. Every step is
@@ -2017,22 +2006,8 @@ impl<S: KeyStore> std::ops::Deref for DurablePlanarIndexSet<S> {
 }
 
 // ---------------------------------------------------------------------------
-// Durable sharded set
+// Per-shard WAL layout (see `crate::concurrent::ConcurrentShardedIndexSet`)
 // ---------------------------------------------------------------------------
-
-/// A [`ShardedIndexSet`] with one write-ahead log **per shard**, all
-/// sharing a single global LSN counter. `Insert` records carry their
-/// assigned global id, so each shard's log replays independently — a torn
-/// tail on one shard never blocks another shard's recovery.
-#[derive(Debug)]
-pub struct DurableShardedIndexSet<S: KeyStore = VecStore> {
-    set: ShardedIndexSet<S>,
-    wals: Vec<WalWriter>,
-    dir: PathBuf,
-    generation: u64,
-    next_lsn: Lsn,
-    save_opts: SaveOptions,
-}
 
 pub(crate) fn shard_wal_dir(dir: &Path, shard: usize) -> PathBuf {
     dir.join(WAL_SUBDIR).join(format!("shard-{shard:04}"))
@@ -2053,459 +2028,6 @@ pub(crate) fn init_shard_wals(dir: &Path, shards: usize, next_lsn: Lsn, term: u6
         create_segment(&d, next_lsn, term)?;
     }
     Ok(())
-}
-
-impl<S: KeyStore> ShardedIndexSet<S> {
-    /// Sharded counterpart of [`PlanarIndexSet::open_durable`]: load the
-    /// newest valid sharded snapshot, repair every shard's WAL tail, and
-    /// replay each shard's records above the watermark. The report's
-    /// `shard_watermarks` give each shard's last applied LSN.
-    ///
-    /// # Errors
-    ///
-    /// As [`PlanarIndexSet::open_durable`].
-    pub fn open_durable(
-        dir: impl AsRef<Path>,
-        opts: WalOptions,
-    ) -> Result<(DurableShardedIndexSet<S>, ShardedRecoveryReport)> {
-        let dir = dir.as_ref();
-        let m = read_manifest(dir)?;
-        let (mut set, mut report) = Self::load_or_recover(snapshot_path(dir, m.generation))?;
-        let shards = set.num_shards();
-        let mut wals = Vec::with_capacity(shards);
-        let mut replayed = 0usize;
-        let mut dropped = 0usize;
-        let mut torn = 0usize;
-        let mut watermarks = vec![m.watermark; shards];
-        let mut max_lsn = m.watermark;
-        for (shard, watermark) in watermarks.iter_mut().enumerate() {
-            let (mut wal, scan) = WalWriter::open_repair(&shard_wal_dir(dir, shard), opts)?;
-            wal.set_term(m.term);
-            for (lsn, rec) in &scan.frames {
-                if *lsn <= m.watermark {
-                    continue;
-                }
-                set.replay_record(shard, *lsn, rec)?;
-                *watermark = *lsn;
-                replayed += 1;
-            }
-            dropped += scan.dropped_records;
-            torn += scan.torn_bytes;
-            max_lsn = max_lsn.max(wal.last_lsn).max(*watermark);
-            wals.push(wal);
-        }
-        report.wal_replayed = replayed;
-        report.wal_dropped = dropped;
-        report.wal_torn_bytes = torn;
-        report.shard_watermarks = watermarks;
-        sweep_snapshots(dir, m.generation);
-        Ok((
-            DurableShardedIndexSet {
-                set,
-                wals,
-                dir: dir.to_path_buf(),
-                generation: m.generation,
-                next_lsn: max_lsn + 1,
-                save_opts: SaveOptions::default(),
-            },
-            report,
-        ))
-    }
-}
-
-impl<S: KeyStore> DurableShardedIndexSet<S> {
-    /// Initialize `dir` as a durable home for a sharded set. See
-    /// [`DurablePlanarIndexSet::create`].
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::Persist`] on I/O failure or if `dir` already holds
-    /// a durable index.
-    pub fn create(
-        dir: impl AsRef<Path>,
-        set: ShardedIndexSet<S>,
-        opts: WalOptions,
-    ) -> Result<Self> {
-        let dir = dir.as_ref();
-        ensure_fresh_dir(dir)?;
-        set.save_to(snapshot_path(dir, 1))?;
-        write_manifest(
-            dir,
-            Manifest {
-                generation: 1,
-                watermark: 0,
-                term: 0,
-            },
-        )?;
-        let mut wals = Vec::with_capacity(set.num_shards());
-        for shard in 0..set.num_shards() {
-            let (wal, _) = WalWriter::open_repair(&shard_wal_dir(dir, shard), opts)?;
-            wals.push(wal);
-        }
-        let next_lsn = wals.iter().map(|w| w.last_lsn).max().unwrap_or(0) + 1;
-        Ok(Self {
-            set,
-            wals,
-            dir: dir.to_path_buf(),
-            generation: 1,
-            next_lsn,
-            save_opts: SaveOptions::default(),
-        })
-    }
-
-    /// The underlying sharded set, for queries and inspection.
-    pub fn set(&self) -> &ShardedIndexSet<S> {
-        &self.set
-    }
-
-    /// Aggregate WAL health across all shards.
-    pub fn wal_health(&self) -> WalHealth {
-        let mut h = WalHealth::default();
-        for w in &self.wals {
-            h.merge(&w.health());
-        }
-        h
-    }
-
-    /// Data fsyncs summed across every shard's WAL writer.
-    pub fn fsync_count(&self) -> u64 {
-        self.wals.iter().map(WalWriter::fsync_count).sum()
-    }
-
-    /// Retry/backoff schedule for checkpoint snapshot writes.
-    pub fn save_options(mut self, opts: SaveOptions) -> Self {
-        self.save_opts = opts;
-        self
-    }
-
-    /// Log-then-insert, routed by the partitioner; the record lands in
-    /// the target shard's WAL with the assigned global id. See
-    /// [`ShardedIndexSet::insert_point`].
-    ///
-    /// # Errors
-    ///
-    /// Row validation (before logging) or [`PlanarError::Persist`] on
-    /// append failure.
-    pub fn insert_point(&mut self, row: &[f64]) -> Result<PointId> {
-        validate_row(self.set.dim(), row)?;
-        let global = self.set.next_global();
-        let shard = self.set.partitioner().route(global, row);
-        let lsn = self.next_lsn;
-        self.wals[shard].append(
-            lsn,
-            &WalRecord::Insert {
-                id: global,
-                row: row.to_vec(),
-            },
-        )?;
-        self.next_lsn = lsn + 1;
-        let got = self.set.insert_point(row).map_err(|e| {
-            PlanarError::Internal(format!(
-                "mutation failed after WAL append at lsn {lsn}: {e}"
-            ))
-        })?;
-        if got != global {
-            // The log now disagrees with the applied state; surface it at
-            // write time rather than as replay divergence at recovery.
-            return Err(PlanarError::Internal(format!(
-                "insert at lsn {lsn} assigned global id {got} but logged {global}"
-            )));
-        }
-        Ok(got)
-    }
-
-    /// Log-then-update on the point's shard. See
-    /// [`ShardedIndexSet::update_point`].
-    ///
-    /// # Errors
-    ///
-    /// Validation/[`PlanarError::PointNotFound`] (before logging) or
-    /// [`PlanarError::Persist`] on append failure.
-    pub fn update_point(&mut self, id: PointId, row: &[f64]) -> Result<()> {
-        validate_row(self.set.dim(), row)?;
-        let shard = self
-            .set
-            .shard_of(id)
-            .ok_or(PlanarError::PointNotFound(id))?;
-        let lsn = self.next_lsn;
-        self.wals[shard].append(
-            lsn,
-            &WalRecord::Update {
-                id,
-                row: row.to_vec(),
-            },
-        )?;
-        self.next_lsn = lsn + 1;
-        self.set.update_point(id, row).map_err(|e| {
-            PlanarError::Internal(format!(
-                "mutation failed after WAL append at lsn {lsn}: {e}"
-            ))
-        })
-    }
-
-    /// Log-then-delete on the point's shard. See
-    /// [`ShardedIndexSet::delete_point`].
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::PointNotFound`] (before logging) or
-    /// [`PlanarError::Persist`] on append failure.
-    pub fn delete_point(&mut self, id: PointId) -> Result<()> {
-        let shard = self
-            .set
-            .shard_of(id)
-            .ok_or(PlanarError::PointNotFound(id))?;
-        let lsn = self.next_lsn;
-        self.wals[shard].append(lsn, &WalRecord::Delete { id })?;
-        self.next_lsn = lsn + 1;
-        self.set.delete_point(id).map_err(|e| {
-            PlanarError::Internal(format!(
-                "mutation failed after WAL append at lsn {lsn}: {e}"
-            ))
-        })
-    }
-
-    /// Log-then-compact: the marker is broadcast to **every** shard's WAL
-    /// at one shared LSN (shard-local replay applies each shard's own
-    /// compaction). See [`ShardedIndexSet::compact`].
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::Persist`] on append failure.
-    pub fn compact(&mut self, threshold: f64) -> Result<Vec<usize>> {
-        let lsn = self.next_lsn;
-        let rec = WalRecord::Compact {
-            threshold: Some(threshold),
-        };
-        for wal in &mut self.wals {
-            wal.append(lsn, &rec)?;
-        }
-        self.next_lsn = lsn + 1;
-        Ok(self.set.compact(threshold))
-    }
-
-    /// **Group commit** across shards: log-then-apply a whole batch of
-    /// mutations with one fsync *per touched shard* (instead of one per
-    /// record). See [`DurablePlanarIndexSet::apply_batch`]; records are
-    /// routed by the partitioner, and updates/deletes may target points
-    /// born earlier in the same batch.
-    ///
-    /// # Errors
-    ///
-    /// As [`DurablePlanarIndexSet::apply_batch`].
-    pub fn apply_batch(&mut self, muts: &[Mutation]) -> Result<Vec<MutationAck>> {
-        let dim = self.set.dim();
-        let mut born: Vec<(PointId, usize)> = Vec::new();
-        let mut killed: Vec<PointId> = Vec::new();
-        let mut next = self.set.next_global();
-        let shard_for = |set: &ShardedIndexSet<S>,
-                         id: PointId,
-                         born: &[(PointId, usize)],
-                         killed: &[PointId]|
-         -> Result<usize> {
-            if killed.contains(&id) {
-                return Err(PlanarError::PointNotFound(id));
-            }
-            if let Some(&(_, shard)) = born.iter().find(|&&(b, _)| b == id) {
-                return Ok(shard);
-            }
-            set.shard_of(id).ok_or(PlanarError::PointNotFound(id))
-        };
-        let mut routed: Vec<(usize, WalRecord)> = Vec::with_capacity(muts.len());
-        for m in muts {
-            match m {
-                Mutation::Insert { row } => {
-                    validate_row(dim, row)?;
-                    let shard = self.set.partitioner().route(next, row);
-                    routed.push((
-                        shard,
-                        WalRecord::Insert {
-                            id: next,
-                            row: row.clone(),
-                        },
-                    ));
-                    born.push((next, shard));
-                    next += 1;
-                }
-                Mutation::Update { id, row } => {
-                    validate_row(dim, row)?;
-                    let shard = shard_for(&self.set, *id, &born, &killed)?;
-                    routed.push((
-                        shard,
-                        WalRecord::Update {
-                            id: *id,
-                            row: row.clone(),
-                        },
-                    ));
-                }
-                Mutation::Delete { id } => {
-                    let shard = shard_for(&self.set, *id, &born, &killed)?;
-                    routed.push((shard, WalRecord::Delete { id: *id }));
-                    killed.push(*id);
-                }
-            }
-        }
-        let first_lsn = self.next_lsn;
-        let mut touched = vec![false; self.wals.len()];
-        for (i, (shard, rec)) in routed.iter().enumerate() {
-            self.wals[*shard].append_frame(first_lsn + i as Lsn, rec)?;
-            touched[*shard] = true;
-        }
-        self.next_lsn = first_lsn + routed.len() as Lsn;
-        for (shard, hit) in touched.iter().enumerate() {
-            if *hit {
-                self.wals[shard].policy_sync()?;
-            }
-        }
-        let mut acks = Vec::with_capacity(routed.len());
-        for (i, (_, rec)) in routed.iter().enumerate() {
-            let lsn = first_lsn + i as Lsn;
-            let internal = |e: PlanarError| {
-                PlanarError::Internal(format!(
-                    "batch mutation failed after WAL append at lsn {lsn}: {e}"
-                ))
-            };
-            match rec {
-                WalRecord::Insert { id, row } => {
-                    let got = self.set.insert_point(row).map_err(internal)?;
-                    if got != *id {
-                        return Err(PlanarError::Internal(format!(
-                            "batch insert at lsn {lsn} assigned global id {got} but logged {id}"
-                        )));
-                    }
-                    acks.push(MutationAck::Inserted(got));
-                }
-                WalRecord::Update { id, row } => {
-                    self.set.update_point(*id, row).map_err(internal)?;
-                    acks.push(MutationAck::Updated);
-                }
-                WalRecord::Delete { id } => {
-                    self.set.delete_point(*id).map_err(internal)?;
-                    acks.push(MutationAck::Deleted);
-                }
-                _ => unreachable!("apply_batch only routes point mutations"),
-            }
-        }
-        Ok(acks)
-    }
-
-    /// Decompose into the pieces the concurrent wrapper re-assembles
-    /// around per-shard [`GroupCommitQueue`]s.
-    pub(crate) fn into_parts(
-        self,
-    ) -> (
-        ShardedIndexSet<S>,
-        Vec<WalWriter>,
-        PathBuf,
-        u64,
-        Lsn,
-        SaveOptions,
-    ) {
-        (
-            self.set,
-            self.wals,
-            self.dir,
-            self.generation,
-            self.next_lsn,
-            self.save_opts,
-        )
-    }
-
-    /// Reassemble a durable sharded set from parts — the inverse of
-    /// [`Self::into_parts`], used by failover promotion to turn a
-    /// replica's mirrored WALs and applied state into a writable primary.
-    /// The caller guarantees the parts are mutually consistent (the set is
-    /// exactly the replay of the WALs over the snapshot at `generation`).
-    pub(crate) fn from_parts(
-        set: ShardedIndexSet<S>,
-        wals: Vec<WalWriter>,
-        dir: PathBuf,
-        generation: u64,
-        next_lsn: Lsn,
-        save_opts: SaveOptions,
-    ) -> Self {
-        Self {
-            set,
-            wals,
-            dir,
-            generation,
-            next_lsn,
-            save_opts,
-        }
-    }
-
-    /// Checkpoint-then-truncate across every shard. See
-    /// [`DurablePlanarIndexSet::checkpoint`].
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::Persist`] on I/O failure.
-    pub fn checkpoint(&mut self) -> Result<Lsn> {
-        let watermark = self.next_lsn;
-        for wal in &mut self.wals {
-            wal.append(watermark, &WalRecord::Checkpoint { watermark })?;
-            wal.sync()?;
-        }
-        self.next_lsn = watermark + 1;
-        // Retune each shard's quantization tier at checkpoint cadence so
-        // the snapshot carries fresh policies (see the planar twin above).
-        self.set
-            .retune_quantization(&crate::quant::QuantAutotuneConfig::default());
-        let generation = self.generation + 1;
-        self.set.save_to_with(
-            snapshot_path(&self.dir, generation),
-            &mut crate::fault::StdIo,
-            &self.save_opts,
-        )?;
-        write_manifest(
-            &self.dir,
-            Manifest {
-                generation,
-                watermark,
-                term: self.wals.iter().map(WalWriter::term).max().unwrap_or(0),
-            },
-        )?;
-        self.generation = generation;
-        for wal in &mut self.wals {
-            wal.truncate_all(watermark + 1)?;
-        }
-        sweep_snapshots(&self.dir, generation);
-        Ok(watermark)
-    }
-
-    /// Alias for [`Self::checkpoint`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::checkpoint`].
-    pub fn save(&mut self) -> Result<Lsn> {
-        self.checkpoint()
-    }
-
-    /// Force every shard's buffered records to stable storage now.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::Persist`] on fsync failure.
-    pub fn sync(&mut self) -> Result<()> {
-        for wal in &mut self.wals {
-            wal.sync()?;
-        }
-        Ok(())
-    }
-
-    /// Consume the wrapper, returning the in-memory sharded set.
-    pub fn into_inner(self) -> ShardedIndexSet<S> {
-        self.set
-    }
-}
-
-impl<S: KeyStore> std::ops::Deref for DurableShardedIndexSet<S> {
-    type Target = ShardedIndexSet<S>;
-
-    fn deref(&self) -> &Self::Target {
-        &self.set
-    }
 }
 
 // Query pass-throughs so a durable set is a drop-in for the plain one in
@@ -2541,43 +2063,10 @@ impl<S: KeyStore> DurablePlanarIndexSet<S> {
     }
 }
 
-impl<S: KeyStore> DurableShardedIndexSet<S> {
-    /// See [`ShardedIndexSet::query_batch`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ShardedIndexSet::query_batch`].
-    pub fn query_batch(
-        &self,
-        qs: &[InequalityQuery],
-        exec: &ExecutionConfig,
-    ) -> Result<Vec<ShardedQueryOutcome>>
-    where
-        S: Sync,
-    {
-        self.set.query_batch(qs, exec)
-    }
-
-    /// See [`ShardedIndexSet::top_k_batch`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ShardedIndexSet::top_k_batch`].
-    pub fn top_k_batch(
-        &self,
-        qs: &[TopKQuery],
-        exec: &ExecutionConfig,
-    ) -> Result<Vec<ShardedTopKOutcome>>
-    where
-        S: Sync,
-    {
-        self.set.top_k_batch(qs, exec)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::concurrent::{ConcurrencyConfig, ConcurrentShardedIndexSet};
     use crate::domain::ParameterDomain;
     use crate::fault::{self, TempDir, WalFaultKind};
     use crate::multi::IndexConfig;
@@ -3083,7 +2572,8 @@ mod tests {
             )
             .unwrap()
         };
-        let mut durable = DurableShardedIndexSet::create(tmp.path(), build(), opts).unwrap();
+        let cfg = ConcurrencyConfig::default();
+        let durable = ConcurrentShardedIndexSet::create(tmp.path(), build(), opts, cfg).unwrap();
         let mut twin = build();
         for i in 0..20 {
             let row = vec![2.0 + (i % 7) as f64, 3.0];
@@ -3105,7 +2595,8 @@ mod tests {
         drop(durable); // killed mid-fsync-window
 
         let (recovered, report) =
-            ShardedIndexSet::<VecStore>::open_durable(tmp.path(), opts).unwrap();
+            ConcurrentShardedIndexSet::<VecStore>::open(tmp.path(), opts, cfg).unwrap();
+        let recovered = recovered.snapshot();
         assert_eq!(report.shard_watermarks.len(), 3);
         assert_eq!(report.wal_dropped, 0);
         assert!(report.wal_replayed >= 26, "20 inserts + 6 point ops");
@@ -3279,7 +2770,8 @@ mod tests {
             )
             .unwrap()
         };
-        let mut durable = DurableShardedIndexSet::create(tmp.path(), build(), opts).unwrap();
+        let cfg = ConcurrencyConfig::default();
+        let durable = ConcurrentShardedIndexSet::create(tmp.path(), build(), opts, cfg).unwrap();
         let mut twin = build();
 
         // Six round-robin inserts touch all three shards.
@@ -3309,11 +2801,11 @@ mod tests {
 
         drop(durable);
         let (recovered, report) =
-            ShardedIndexSet::<VecStore>::open_durable(tmp.path(), opts).unwrap();
+            ConcurrentShardedIndexSet::<VecStore>::open(tmp.path(), opts, cfg).unwrap();
         assert_eq!(report.wal_replayed, 6);
         for q in probes() {
             assert_eq!(
-                recovered.set().query(&q).unwrap().sorted_ids(),
+                recovered.snapshot().query(&q).unwrap().sorted_ids(),
                 twin.query(&q).unwrap().sorted_ids()
             );
         }
@@ -3491,7 +2983,6 @@ mod tests {
     /// confirms it and the replica reads back bit-identical.
     #[test]
     fn quorum_write_across_wal_fail_stop_reopens_and_heals() {
-        use crate::concurrent::{ConcurrencyConfig, ConcurrentDurableShardedIndexSet};
         use crate::replicate::{AckPolicy, ChannelTransport, FailoverConfig, Primary, Replica};
 
         let _g = serialized();
@@ -3510,14 +3001,10 @@ mod tests {
             ShardConfig::round_robin(1),
         )
         .unwrap();
-        let store = ConcurrentDurableShardedIndexSet::create(
-            pdir.path(),
-            set,
-            opts,
-            ConcurrencyConfig::default(),
-        )
-        .unwrap();
-        let mut primary = Primary::new(store, FailoverConfig::default());
+        let store =
+            ConcurrentShardedIndexSet::create(pdir.path(), set, opts, ConcurrencyConfig::default())
+                .unwrap();
+        let mut primary = Primary::new(store, FailoverConfig::default()).unwrap();
         primary.set_ack_policy(AckPolicy::Quorum(1));
         let down = ChannelTransport::new();
         let up = ChannelTransport::new();

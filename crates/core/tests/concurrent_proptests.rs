@@ -12,11 +12,15 @@
 //!    `FsyncPolicy::Always` must leave every *acknowledged* mutation
 //!    recoverable; the faulted mutation itself may or may not survive, but
 //!    recovery always lands on a clean prefix of the attempted stream.
-//! 4. **Reclaim-and-replay ≡ a serial twin** — every epoch any of the four
-//!    wrappers (or a replica applying shipped frames) publishes, whether
-//!    built by replaying the reclaimed spare or by a fallback clone,
-//!    persists byte-for-byte like a single-threaded set given the same
-//!    changes, with reader pins steering writes onto both paths.
+//! 4. **Reclaim-and-replay ≡ a serial twin** — every epoch the engine
+//!    publishes — in memory or durable, over one shard or three — or a
+//!    replica applying shipped frames publishes, whether built by
+//!    replaying the reclaimed spare or by a fallback clone, persists
+//!    byte-for-byte like a single-threaded set given the same changes,
+//!    with reader pins steering writes onto both paths.
+//!
+//! Properties 1–3 drive a one-shard engine (the unsharded topology)
+//! against a serial [`PlanarIndexSet`] oracle.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -24,11 +28,10 @@ use std::sync::{Arc, Mutex};
 use planar_core::fault::{arm_wal_fault, disarm_wal_fault, TempDir, WalFaultKind};
 use planar_core::replicate::ChannelTransport;
 use planar_core::{
-    Cmp, ConcurrencyConfig, ConcurrentDurablePlanarIndexSet, ConcurrentDurableShardedIndexSet,
-    ConcurrentPlanarIndexSet, ConcurrentShardedIndexSet, EpochStats, FailoverConfig, FeatureTable,
+    Cmp, ConcurrencyConfig, ConcurrentShardedIndexSet, EpochStats, FailoverConfig, FeatureTable,
     FsyncPolicy, IndexConfig, InequalityQuery, Mutation, ParameterDomain, PlanarIndexSet, Primary,
     QuantAutotuneConfig, QuantPolicy, QuantTier, ReadConsistency, Replica, ShardConfig,
-    ShardedIndexSet, VecStore, WalOptions,
+    ShardedIndexSet, Snapshot, VecStore, WalOptions,
 };
 use proptest::prelude::*;
 
@@ -98,6 +101,18 @@ fn build_planar(t: &Trace) -> PlanarIndexSet<VecStore> {
     PlanarIndexSet::build(table, domain, IndexConfig::with_budget(t.budget)).unwrap()
 }
 
+/// The engine's set: the same rows as one shard, so its global ids and
+/// answers line up with the planar oracle.
+fn build_one_shard(t: &Trace) -> ShardedIndexSet<VecStore> {
+    let table = FeatureTable::from_rows(t.dim, t.rows.clone()).unwrap();
+    let domain = ParameterDomain::uniform_continuous(t.dim, 0.1, 10.0).unwrap();
+    let (cfg, shards) = (
+        IndexConfig::with_budget(t.budget),
+        ShardConfig::round_robin(1),
+    );
+    ShardedIndexSet::build(table, domain, cfg, shards).unwrap()
+}
+
 fn probe_queries(t: &Trace) -> Vec<InequalityQuery> {
     t.probes
         .iter()
@@ -106,6 +121,14 @@ fn probe_queries(t: &Trace) -> Vec<InequalityQuery> {
 }
 
 fn answers(set: &PlanarIndexSet<VecStore>, queries: &[InequalityQuery]) -> Vec<Vec<u32>> {
+    queries
+        .iter()
+        .map(|q| set.query(q).unwrap().sorted_ids())
+        .collect()
+}
+
+/// [`answers`] from the engine's side.
+fn served(set: &ShardedIndexSet<VecStore>, queries: &[InequalityQuery]) -> Vec<Vec<u32>> {
     queries
         .iter()
         .map(|q| set.query(q).unwrap().sorted_ids())
@@ -172,7 +195,7 @@ proptest! {
     fn pinned_epochs_never_observe_later_mutations(t in trace()) {
         let queries = probe_queries(&t);
         let applied = resolve_ops(&t);
-        let conc = ConcurrentPlanarIndexSet::new(build_planar(&t), ConcurrencyConfig::default());
+        let conc = ConcurrentShardedIndexSet::new(build_one_shard(&t), ConcurrencyConfig::default());
         let mut twin = build_planar(&t);
 
         let mut pins = Vec::with_capacity(applied.len() + 1);
@@ -201,7 +224,7 @@ proptest! {
         // Every pin answers as of its own epoch, not the final state.
         for (i, (snap, frozen)) in pins.iter().enumerate() {
             prop_assert_eq!(snap.epoch(), 1 + i as u64, "publish cadence 1: one epoch per mutation");
-            prop_assert_eq!(&answers(snap, &queries), frozen, "pin {} drifted", i);
+            prop_assert_eq!(&served(snap, &queries), frozen, "pin {} drifted", i);
         }
         // And the grace-period ledger balances: dropping all pins lets
         // every retired epoch be reclaimed.
@@ -219,7 +242,7 @@ proptest! {
     fn concurrent_reads_match_serialized_replay(t in trace()) {
         let queries = probe_queries(&t);
         let applied = resolve_ops(&t);
-        let conc = ConcurrentPlanarIndexSet::new(build_planar(&t), ConcurrencyConfig::default());
+        let conc = ConcurrentShardedIndexSet::new(build_one_shard(&t), ConcurrencyConfig::default());
         let stop = AtomicBool::new(false);
 
         let mut observations: Vec<Vec<(u64, Vec<Vec<u32>>)>> = Vec::new();
@@ -234,7 +257,7 @@ proptest! {
                         // Epochs are monotone from any single reader's view.
                         assert!(snap.epoch() >= last_epoch, "epoch went backwards");
                         last_epoch = snap.epoch();
-                        seen.push((snap.epoch(), answers(&snap, &queries)));
+                        seen.push((snap.epoch(), served(&snap, &queries)));
                     }
                     seen
                 }));
@@ -270,7 +293,7 @@ proptest! {
     }
 }
 
-/// Run the trace through a group-committing durable set with a WAL fault
+/// Run the trace through a group-committing durable engine with a WAL fault
 /// armed at append `nth`, and return `(acked, attempted)` — the count of
 /// acknowledged mutations and the full enqueued stream (acked prefix plus,
 /// possibly, the faulted mutation).
@@ -282,9 +305,9 @@ fn run_with_fault(
     kind: WalFaultKind,
 ) -> (usize, usize) {
     arm_wal_fault(nth, kind);
-    let conc = ConcurrentDurablePlanarIndexSet::create(
+    let conc = ConcurrentShardedIndexSet::create(
         dir,
-        build_planar(t),
+        build_one_shard(t),
         WalOptions::default(), // Always: an Ok return promises durability
         ConcurrencyConfig::default(),
     )
@@ -321,7 +344,7 @@ fn check_crash_case(t: &Trace, nth: u64, kind: WalFaultKind) {
     let applied = resolve_ops(t);
     let (acked, attempted) = run_with_fault(&dir, t, &applied, nth, kind);
 
-    let (recovered, report) = ConcurrentDurablePlanarIndexSet::<VecStore>::open(
+    let (recovered, report) = ConcurrentShardedIndexSet::<VecStore>::open(
         &dir,
         WalOptions::default(),
         ConcurrencyConfig::default(),
@@ -340,7 +363,7 @@ fn check_crash_case(t: &Trace, nth: u64, kind: WalFaultKind) {
     let oracle = oracle_prefix(t, &applied, replayed);
     let snap = recovered.snapshot();
     assert_eq!(
-        answers(&snap, &queries),
+        served(&snap, &queries),
         answers(&oracle, &queries),
         "recovered state diverged from the serial prefix oracle"
     );
@@ -366,7 +389,7 @@ proptest! {
     }
 }
 
-/// Deterministic ack-lag convergence for the group-committing wrapper:
+/// Deterministic ack-lag convergence for the group-committing engine:
 /// under a lazy policy the acked watermark trails appends, and `sync()`
 /// (or a forced flush) converges the two — the observable contract the
 /// `WalHealth::{appended_lsn, acked_lsn}` split exists for.
@@ -381,9 +404,9 @@ fn acked_and_appended_converge_after_sync() {
         probes: vec![(vec![1.0, 1.0], 8.0)],
         budget: 2,
     };
-    let conc = ConcurrentDurablePlanarIndexSet::create(
+    let conc = ConcurrentShardedIndexSet::create(
         tmp.path(),
-        build_planar(&t),
+        build_one_shard(&t),
         WalOptions::default().fsync(planar_core::FsyncPolicy::EveryN(64)),
         ConcurrencyConfig::default(),
     )
@@ -459,18 +482,13 @@ fn domain2() -> ParameterDomain {
     ParameterDomain::uniform_continuous(2, 0.5, 2.0).unwrap()
 }
 
-fn twin_planar(rows: &[Vec<f64>]) -> PlanarIndexSet<VecStore> {
-    let table = FeatureTable::from_rows(2, rows.to_vec()).unwrap();
-    PlanarIndexSet::build(table, domain2(), IndexConfig::with_budget(3)).unwrap()
-}
-
-fn twin_sharded(rows: &[Vec<f64>]) -> ShardedIndexSet<VecStore> {
+fn twin(rows: &[Vec<f64>], shards: usize) -> ShardedIndexSet<VecStore> {
     let table = FeatureTable::from_rows(2, rows.to_vec()).unwrap();
     ShardedIndexSet::build(
         table,
         domain2(),
         IndexConfig::with_budget(3),
-        ShardConfig::round_robin(2),
+        ShardConfig::round_robin(shards),
     )
     .unwrap()
 }
@@ -483,154 +501,36 @@ fn policy(tier: u8) -> QuantPolicy {
     }
 }
 
-/// The single-threaded twin every published epoch must equal.
-enum Twin {
-    Planar(Box<PlanarIndexSet<VecStore>>),
-    Sharded(Box<ShardedIndexSet<VecStore>>),
-}
-
-impl Twin {
-    fn bytes(&self) -> Vec<u8> {
-        match self {
-            Twin::Planar(t) => t.to_bytes().to_vec(),
-            Twin::Sharded(t) => t.to_bytes().to_vec(),
-        }
-    }
-
-    fn is_live(&self, id: u32) -> bool {
-        match self {
-            Twin::Planar(t) => t.is_live(id),
-            Twin::Sharded(t) => t.is_live(id),
-        }
-    }
-
-    fn apply(&mut self, m: &Mutation) {
-        match (self, m) {
-            (Twin::Planar(t), Mutation::Insert { row }) => drop(t.insert_point(row).unwrap()),
-            (Twin::Planar(t), Mutation::Update { id, row }) => t.update_point(*id, row).unwrap(),
-            (Twin::Planar(t), Mutation::Delete { id }) => t.delete_point(*id).unwrap(),
-            (Twin::Sharded(t), Mutation::Insert { row }) => drop(t.insert_point(row).unwrap()),
-            (Twin::Sharded(t), Mutation::Update { id, row }) => t.update_point(*id, row).unwrap(),
-            (Twin::Sharded(t), Mutation::Delete { id }) => t.delete_point(*id).unwrap(),
-        }
+fn apply_twin(twin: &mut ShardedIndexSet<VecStore>, m: &Mutation) {
+    match m {
+        Mutation::Insert { row } => drop(twin.insert_point(row).unwrap()),
+        Mutation::Update { id, row } => twin.update_point(*id, row).unwrap(),
+        Mutation::Delete { id } => twin.delete_point(*id).unwrap(),
     }
 }
 
-/// The four concurrent wrappers behind one scripted interface.
-enum Subject {
-    Planar(Box<ConcurrentPlanarIndexSet<VecStore>>),
-    Sharded(Box<ConcurrentShardedIndexSet<VecStore>>),
-    DurablePlanar(Box<ConcurrentDurablePlanarIndexSet<VecStore>>),
-    DurableSharded(Arc<ConcurrentDurableShardedIndexSet<VecStore>>),
-}
-
-/// A reader pin on either set type, held only to keep its epoch alive.
-type Pin = Box<dyn std::any::Any>;
-
-macro_rules! each {
-    ($subject:expr, $w:ident => $body:expr) => {
-        match $subject {
-            Subject::Planar($w) => $body,
-            Subject::Sharded($w) => $body,
-            Subject::DurablePlanar($w) => $body,
-            Subject::DurableSharded($w) => $body,
-        }
-    };
-}
-
-impl Subject {
-    fn epoch(&self) -> u64 {
-        each!(self, w => w.snapshot().epoch())
-    }
-
-    fn bytes(&self) -> Vec<u8> {
-        each!(self, w => w.snapshot().to_bytes().to_vec())
-    }
-
-    fn stats(&self) -> EpochStats {
-        each!(self, w => w.epoch_stats())
-    }
-
-    fn pin(&self) -> Pin {
-        each!(self, w => Box::new(w.snapshot()))
-    }
-
-    fn publish(&self) {
-        each!(self, w => drop(w.publish()));
-    }
-
-    fn apply(&self, m: &Mutation) {
-        match m {
-            Mutation::Insert { row } => each!(self, w => drop(w.insert_point(row).unwrap())),
-            Mutation::Update { id, row } => each!(self, w => w.update_point(*id, row).unwrap()),
-            Mutation::Delete { id } => each!(self, w => w.delete_point(*id).unwrap()),
-        }
-    }
-
-    /// Apply a batch as one publish where the wrapper has a batch API;
-    /// the in-memory sharded wrapper has none and takes it one by one.
-    fn batch(&self, muts: &[Mutation]) -> bool {
-        match self {
-            Subject::Planar(w) => drop(w.apply_batch(muts).unwrap()),
-            Subject::DurablePlanar(w) => drop(w.apply_batch(muts).unwrap()),
-            Subject::DurableSharded(w) => drop(w.apply_batch(muts).unwrap()),
-            Subject::Sharded(_) => return false,
-        }
-        true
-    }
-
-    /// Compact the subject and the twin alike. The durable planar
-    /// wrapper has no compaction; it checkpoints instead.
-    fn compact(&self, twin: &mut Twin) {
-        match (self, twin) {
-            (Subject::Planar(w), Twin::Planar(t)) => assert_eq!(w.compact(), t.compact()),
-            (Subject::Sharded(w), Twin::Sharded(t)) => assert_eq!(w.compact(0.0), t.compact(0.0)),
-            (Subject::DurableSharded(w), Twin::Sharded(t)) => {
-                assert_eq!(w.compact(0.0).unwrap(), t.compact(0.0));
-            }
-            (Subject::DurablePlanar(_), twin) => self.checkpoint(twin),
-            _ => unreachable!("subject and twin kinds match"),
-        }
-    }
-
-    /// Checkpoint a durable subject: it retunes quantization from an
-    /// empty window (no reads run here), as the twin does.
-    fn checkpoint(&self, twin: &mut Twin) {
-        let cfg = QuantAutotuneConfig::default();
-        match (self, twin) {
-            (Subject::DurablePlanar(w), Twin::Planar(t)) => {
-                w.checkpoint().unwrap();
-                t.retune_quantization(&cfg);
-            }
-            (Subject::DurableSharded(w), Twin::Sharded(t)) => {
-                w.checkpoint().unwrap();
-                t.retune_quantization(&cfg);
-            }
-            _ => {}
-        }
-    }
-
-    fn set_quant(&self, twin: &mut Twin, p: QuantPolicy) {
-        each!(self, w => w.set_quant_policy(p));
-        match twin {
-            Twin::Planar(t) => t.set_quant_policy(p),
-            Twin::Sharded(t) => t.set_quant_policy(p),
-        }
-    }
-}
-
-/// Drives a script against one subject and its twin, checking the
-/// persisted bytes of every epoch the subject publishes and retiring
-/// reader pins once they have been held across their publishes.
+/// Drives a script against one engine and its single-threaded twin,
+/// checking the persisted bytes of every epoch the engine publishes and
+/// retiring reader pins once they have been held across their publishes.
 struct Driver {
-    subject: Subject,
-    twin: Twin,
+    engine: Arc<ConcurrentShardedIndexSet<VecStore>>,
+    /// Built by `create` (else `new`).
+    durable: bool,
+    twin: ShardedIndexSet<VecStore>,
     /// Global ids handed out so far (the id bound for live-id picks).
     next_id: u32,
-    pins: Vec<(Pin, u64)>,
+    pins: Vec<(Snapshot<ShardedIndexSet<VecStore>>, u64)>,
 }
 
 impl Driver {
+    fn epoch(&self) -> u64 {
+        self.engine.snapshot().epoch()
+    }
+
+    fn stats(&self) -> EpochStats {
+        self.engine.epoch_stats()
+    }
+
     fn live(&self) -> Vec<u32> {
         (0..self.next_id)
             .filter(|&id| self.twin.is_live(id))
@@ -663,61 +563,63 @@ impl Driver {
 
     fn step(&mut self, step: &Step, hold: u8) {
         if hold > 0 {
-            self.pins.push((self.subject.pin(), u64::from(hold)));
+            self.pins.push((self.engine.snapshot(), u64::from(hold)));
         }
-        let before = self.subject.epoch();
+        let before = self.epoch();
         match step {
             Step::Insert(row) => self.mutate(&[(0, 0, row.clone())]),
             Step::Update(pick, row) => self.mutate(&[(1, *pick, row.clone())]),
             Step::Delete(pick) => self.mutate(&[(2, *pick, Vec::new())]),
             Step::Batch(ops) => {
                 let muts = self.resolve(ops);
-                if muts.is_empty() {
-                } else if self.subject.batch(&muts) {
-                    muts.iter().for_each(|m| self.twin.apply(m));
-                } else {
-                    // One publish check per mutation: a later one may
-                    // stage on top of an epoch published mid-batch.
-                    for m in &muts {
-                        let before = self.subject.epoch();
-                        self.subject.apply(m);
-                        self.twin.apply(m);
-                        self.check_since(before);
-                    }
-                    return;
+                if !muts.is_empty() {
+                    self.engine.apply_batch(&muts).unwrap();
+                    muts.iter().for_each(|m| apply_twin(&mut self.twin, m));
                 }
             }
             Step::Compact => {
-                self.subject.compact(&mut self.twin);
-                if let Twin::Planar(t) = &self.twin {
-                    self.next_id = t.table().len() as u32;
-                }
+                assert_eq!(self.engine.compact(0.0).unwrap(), self.twin.compact(0.0));
             }
-            Step::Quant(tier) => self.subject.set_quant(&mut self.twin, policy(*tier)),
-            Step::Checkpoint => self.subject.checkpoint(&mut self.twin),
+            Step::Quant(tier) => {
+                self.engine.set_quant_policy(policy(*tier));
+                self.twin.set_quant_policy(policy(*tier));
+            }
+            // A durable engine retunes quantization from an empty window
+            // (no reads run here), as the twin does; an in-memory engine
+            // has nothing to checkpoint.
+            Step::Checkpoint if self.durable => {
+                self.engine.checkpoint().unwrap();
+                self.twin
+                    .retune_quantization(&QuantAutotuneConfig::default());
+            }
+            Step::Checkpoint => assert!(self.engine.checkpoint().is_err()),
         }
         self.check_since(before);
     }
 
     fn mutate(&mut self, ops: &[(u8, u16, Vec<f64>)]) {
         for m in self.resolve(ops) {
-            self.subject.apply(&m);
-            self.twin.apply(&m);
+            match &m {
+                Mutation::Insert { row } => drop(self.engine.insert_point(row).unwrap()),
+                Mutation::Update { id, row } => self.engine.update_point(*id, row).unwrap(),
+                Mutation::Delete { id } => self.engine.delete_point(*id).unwrap(),
+            }
+            apply_twin(&mut self.twin, &m);
         }
     }
 
-    /// If the subject published since `before`, its epoch must persist
+    /// If the engine published since `before`, its epoch must persist
     /// exactly as the twin does, and pins age by the publishes seen.
     fn check_since(&mut self, before: u64) {
-        let published = self.subject.epoch() - before;
+        let published = self.epoch() - before;
         if published == 0 {
             return;
         }
         assert_eq!(
-            self.subject.bytes(),
-            self.twin.bytes(),
+            self.engine.snapshot().to_bytes(),
+            self.twin.to_bytes(),
             "epoch {} diverged from the single-threaded twin",
-            self.subject.epoch()
+            self.epoch()
         );
         for pin in &mut self.pins {
             pin.1 = pin.1.saturating_sub(published);
@@ -726,8 +628,8 @@ impl Driver {
     }
 
     fn publish(&mut self) {
-        let before = self.subject.epoch();
-        self.subject.publish();
+        let before = self.epoch();
+        self.engine.publish();
         self.check_since(before);
     }
 
@@ -745,69 +647,40 @@ impl Driver {
         }
         self.pins.clear();
         self.publish();
-        let s0 = self.subject.stats();
+        let s0 = self.stats();
         self.insert([2.0, 3.0]);
         self.insert([4.0, 1.0]);
-        let s1 = self.subject.stats();
+        let s1 = self.stats();
         assert!(s1.replays > s0.replays, "unpinned writes replay the spare");
-        let pin = self.subject.pin();
+        let pin = self.engine.snapshot();
         self.insert([5.0, 5.0]);
         self.insert([6.0, 2.0]);
         drop(pin);
-        let s2 = self.subject.stats();
+        let s2 = self.stats();
         assert!(s2.clones > s1.clones, "a pinned spare forces a clone");
         assert!(s2.replays > 0 && s2.clones > 1);
         self
     }
 }
 
+/// Kinds {in-memory, durable} × {1 shard, 3 shards}: `kind & 2` picks
+/// durable, `kind & 1` three shards.
 fn driver(kind: usize, script: &Script, dir: &std::path::Path) -> Driver {
     let cfg = ConcurrencyConfig::default().publish_every(script.publish_every);
-    let rows = &script.rows;
-    let (subject, twin) = match kind {
-        0 => (
-            Subject::Planar(Box::new(ConcurrentPlanarIndexSet::new(
-                twin_planar(rows),
-                cfg,
-            ))),
-            Twin::Planar(Box::new(twin_planar(rows))),
-        ),
-        1 => (
-            Subject::Sharded(Box::new(ConcurrentShardedIndexSet::new(
-                twin_sharded(rows),
-                cfg,
-            ))),
-            Twin::Sharded(Box::new(twin_sharded(rows))),
-        ),
-        2 => (
-            Subject::DurablePlanar(Box::new(
-                ConcurrentDurablePlanarIndexSet::create(
-                    dir,
-                    twin_planar(rows),
-                    WalOptions::default().fsync(FsyncPolicy::OnCheckpoint),
-                    cfg,
-                )
-                .unwrap(),
-            )),
-            Twin::Planar(Box::new(twin_planar(rows))),
-        ),
-        _ => (
-            Subject::DurableSharded(Arc::new(
-                ConcurrentDurableShardedIndexSet::create(
-                    dir,
-                    twin_sharded(rows),
-                    WalOptions::default().fsync(FsyncPolicy::OnCheckpoint),
-                    cfg,
-                )
-                .unwrap(),
-            )),
-            Twin::Sharded(Box::new(twin_sharded(rows))),
-        ),
+    let shards = if kind & 1 == 1 { 3 } else { 1 };
+    let set = twin(&script.rows, shards);
+    let durable = kind & 2 == 2;
+    let engine = if durable {
+        let opts = WalOptions::default().fsync(FsyncPolicy::OnCheckpoint);
+        ConcurrentShardedIndexSet::create(dir, set, opts, cfg).unwrap()
+    } else {
+        ConcurrentShardedIndexSet::new(set, cfg)
     };
     Driver {
-        subject,
-        twin,
-        next_id: rows.len() as u32,
+        engine: Arc::new(engine),
+        durable,
+        twin: twin(&script.rows, shards),
+        next_id: script.rows.len() as u32,
         pins: Vec::new(),
     }
 }
@@ -815,7 +688,7 @@ fn driver(kind: usize, script: &Script, dir: &std::path::Path) -> Driver {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Every epoch each wrapper publishes — by replaying the reclaimed
+    /// Every epoch each engine kind publishes — by replaying the reclaimed
     /// spare or by a fallback clone — persists byte-for-byte like a
     /// single-threaded twin given the same mutations, compactions,
     /// checkpoints and quantization policies, while reader pins held
@@ -841,8 +714,8 @@ proptest! {
         let rdir = TempDir::new("conc-replay-r").unwrap();
         let opts = WalOptions::default().fsync(FsyncPolicy::EveryN(4));
         let mut d = driver(3, &s, pdir.path());
-        let Subject::DurableSharded(store) = &d.subject else { unreachable!() };
-        let mut primary = Primary::from_shared(Arc::clone(store), FailoverConfig::default());
+        let mut primary =
+            Primary::from_shared(Arc::clone(&d.engine), FailoverConfig::default()).unwrap();
         let down = ChannelTransport::new();
         let up = ChannelTransport::new();
         primary.add_replica(Box::new(down.clone()), Box::new(up.clone()));
@@ -870,7 +743,7 @@ proptest! {
             }
             prop_assert_eq!(replica.applied_lsn(), appended);
             let read = replica.follower_read(ReadConsistency::Any).unwrap();
-            prop_assert_eq!(read.snapshot.to_bytes().to_vec(), d.twin.bytes());
+            prop_assert_eq!(read.snapshot.to_bytes(), d.twin.to_bytes());
             // Follower reads pinned across the next `hold` steps.
             pins.retain_mut(|(_, left): &mut (_, u8)| {
                 *left -= 1;
@@ -885,8 +758,8 @@ proptest! {
         prop_assert_eq!(stats.replays + stats.clones, stats.published);
         drop(pins);
         drop(primary);
-        drop(d.subject);
+        drop(d.engine);
         let promoted = replica.promote(ConcurrencyConfig::default()).unwrap();
-        prop_assert_eq!(promoted.store().snapshot().to_bytes().to_vec(), d.twin.bytes());
+        prop_assert_eq!(promoted.store().snapshot().to_bytes(), d.twin.to_bytes());
     }
 }

@@ -15,7 +15,7 @@
 
 use planar_core::replicate::ChannelTransport;
 use planar_core::{
-    elect, Cmp, ConcurrencyConfig, ConcurrentDurableShardedIndexSet, FailoverConfig, FeatureTable,
+    elect, Cmp, ConcurrencyConfig, ConcurrentShardedIndexSet, FailoverConfig, FeatureTable,
     FsyncPolicy, IndexConfig, InequalityQuery, ParameterDomain, PlanarError, Primary,
     ReadConsistency, Replica, ShardConfig, ShardedIndexSet, TempDir, VecStore, WalOptions,
 };
@@ -64,7 +64,7 @@ fn trace() -> impl Strategy<Value = Vec<Op>> {
 /// Apply `op` to the primary, resolving picks against the live-id list
 /// so every operation is valid. Returns false if the op degenerated to
 /// a no-op (nothing live to update/delete).
-fn apply(store: &ConcurrentDurableShardedIndexSet<VecStore>, live: &mut Vec<u32>, op: &Op) -> bool {
+fn apply(store: &ConcurrentShardedIndexSet<VecStore>, live: &mut Vec<u32>, op: &Op) -> bool {
     match op {
         Op::Insert(a, b) => {
             let id = store.insert_point(&[*a, *b]).unwrap();
@@ -99,14 +99,14 @@ fn kill_and_promote(t: &[Op], rounds_per_step: usize, tail_rounds: usize) {
     let pdir = TempDir::new("failover_p").unwrap();
     let rdir = TempDir::new("failover_r").unwrap();
     let opts = WalOptions::default().fsync(FsyncPolicy::EveryN(4));
-    let store = ConcurrentDurableShardedIndexSet::create(
+    let store = ConcurrentShardedIndexSet::create(
         pdir.path(),
         build_sharded(30),
         opts,
         ConcurrencyConfig::default(),
     )
     .unwrap();
-    let mut primary = Primary::new(store, FailoverConfig::default());
+    let mut primary = Primary::new(store, FailoverConfig::default()).unwrap();
     let mut replicas: Vec<Replica<VecStore>> = Vec::new();
     for r in 0..2u32 {
         let down = ChannelTransport::new();
@@ -223,14 +223,14 @@ fn deposed_primary_is_fenced() {
     let pdir = TempDir::new("failover_fence_p").unwrap();
     let rdir = TempDir::new("failover_fence_r").unwrap();
     let opts = WalOptions::default().fsync(FsyncPolicy::EveryN(4));
-    let store = ConcurrentDurableShardedIndexSet::create(
+    let store = ConcurrentShardedIndexSet::create(
         pdir.path(),
         build_sharded(30),
         opts,
         ConcurrencyConfig::default(),
     )
     .unwrap();
-    let mut old_primary = Primary::new(store, FailoverConfig::default());
+    let mut old_primary = Primary::new(store, FailoverConfig::default()).unwrap();
     let down = ChannelTransport::new();
     let up = ChannelTransport::new();
     old_primary.add_replica(Box::new(down.clone()), Box::new(up.clone()));

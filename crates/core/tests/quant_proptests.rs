@@ -11,7 +11,7 @@ use planar_core::{
     QuantPolicy, QuantTier, TopKQuery, VecStore,
 };
 use planar_core::{
-    ConcurrencyConfig, ConcurrentPlanarIndexSet, DurablePlanarIndexSet, ShardConfig,
+    ConcurrencyConfig, ConcurrentShardedIndexSet, DurablePlanarIndexSet, ShardConfig,
     ShardedIndexSet, TempDir, WalOptions,
 };
 use proptest::prelude::*;
@@ -155,6 +155,24 @@ fn build_planar(s: &Scenario) -> PlanarIndexSet<VecStore> {
     for pos in 0..set.num_indices() {
         if s.quarantine_mask & (1 << (pos % 32)) != 0 {
             set.quarantine(pos);
+        }
+    }
+    set
+}
+
+/// [`build_planar`] as one shard: the unsharded topology of the
+/// concurrent engine.
+fn build_one_shard(s: &Scenario) -> ShardedIndexSet<VecStore> {
+    let table = FeatureTable::from_rows(s.dim, s.rows.clone()).unwrap();
+    let (cfg, shards) = (
+        IndexConfig::with_budget(s.budget),
+        ShardConfig::round_robin(1),
+    );
+    let mut set: ShardedIndexSet<VecStore> =
+        ShardedIndexSet::build(table, domain(s), cfg, shards).unwrap();
+    for pos in 0..set.shard(0).unwrap().num_indices() {
+        if s.quarantine_mask & (1 << (pos % 32)) != 0 {
+            set.quarantine(0, pos);
         }
     }
     set
@@ -376,12 +394,13 @@ proptest! {
     }
 
     /// Concurrent twins: policy installed through the epoch-published
-    /// wrapper (copy-on-publish clones carry the quantized mirror), with
-    /// mutations interleaved between query rounds.
+    /// one-shard engine (copy-on-publish clones carry the quantized
+    /// mirror), with mutations interleaved between query rounds.
     #[test]
     fn quantized_concurrent_equals_unquantized(s in scenario()) {
-        let plain = ConcurrentPlanarIndexSet::new(build_planar(&s), ConcurrencyConfig::default());
-        let quant = ConcurrentPlanarIndexSet::new(build_planar(&s), ConcurrencyConfig::default());
+        let cfg = ConcurrencyConfig::default();
+        let plain = ConcurrentShardedIndexSet::new(build_one_shard(&s), cfg);
+        let quant = ConcurrentShardedIndexSet::new(build_one_shard(&s), cfg);
         quant.set_quant_policy(s.policy);
 
         let check = |round: &str| {
@@ -401,7 +420,7 @@ proptest! {
                     quant.insert_point(row).unwrap();
                 }
                 Op::Update(i, row) => {
-                    let len = plain.snapshot().table().len();
+                    let len = plain.snapshot().shard(0).unwrap().table().len();
                     let id = (*i % len) as u32;
                     if plain.snapshot().is_live(id) {
                         plain.update_point(id, row).unwrap();
@@ -409,7 +428,7 @@ proptest! {
                     }
                 }
                 Op::Delete(i) => {
-                    let len = plain.snapshot().table().len();
+                    let len = plain.snapshot().shard(0).unwrap().table().len();
                     let id = (*i % len) as u32;
                     if plain.snapshot().is_live(id) {
                         plain.delete_point(id).unwrap();

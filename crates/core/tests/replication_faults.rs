@@ -12,10 +12,9 @@ use planar_core::fault::{arm_transport_fault, disarm_transport_fault, TransportF
 use planar_core::replicate::ChannelTransport;
 use planar_core::replicate::FaultyTransport;
 use planar_core::{
-    Cmp, ConcurrencyConfig, ConcurrentDurableShardedIndexSet, FailoverConfig, FeatureTable,
-    FsyncPolicy, IndexConfig, InequalityQuery, ParameterDomain, PlanarError, Primary,
-    ReadConsistency, Replica, ReplicationStats, ShardConfig, ShardedIndexSet, TempDir, VecStore,
-    WalOptions,
+    Cmp, ConcurrencyConfig, ConcurrentShardedIndexSet, FailoverConfig, FeatureTable, FsyncPolicy,
+    IndexConfig, InequalityQuery, ParameterDomain, PlanarError, Primary, ReadConsistency, Replica,
+    ReplicationStats, ShardConfig, ShardedIndexSet, TempDir, VecStore, WalOptions,
 };
 
 /// The transport fault trigger is process-global; scenarios serialize.
@@ -54,14 +53,14 @@ fn run_scenario(nth: u64, kind: TransportFaultKind) -> ReplicationStats {
     let pdir = TempDir::new("repl_fault_p").unwrap();
     let rdir = TempDir::new("repl_fault_r").unwrap();
     let opts = WalOptions::default().fsync(FsyncPolicy::EveryN(4));
-    let store = ConcurrentDurableShardedIndexSet::create(
+    let store = ConcurrentShardedIndexSet::create(
         pdir.path(),
         build_sharded(40),
         opts,
         ConcurrencyConfig::default(),
     )
     .unwrap();
-    let mut primary = Primary::new(store, FailoverConfig::default());
+    let mut primary = Primary::new(store, FailoverConfig::default()).unwrap();
 
     let down = ChannelTransport::new();
     let up = ChannelTransport::new();
@@ -252,14 +251,14 @@ fn lost_acks_cause_retransmit_not_divergence() {
     let pdir = TempDir::new("repl_fault_ack").unwrap();
     let rdir = TempDir::new("repl_fault_ackr").unwrap();
     let opts = WalOptions::default().fsync(FsyncPolicy::EveryN(4));
-    let store = ConcurrentDurableShardedIndexSet::create(
+    let store = ConcurrentShardedIndexSet::create(
         pdir.path(),
         build_sharded(30),
         opts,
         ConcurrencyConfig::default(),
     )
     .unwrap();
-    let mut primary = Primary::new(store, FailoverConfig::default());
+    let mut primary = Primary::new(store, FailoverConfig::default()).unwrap();
     let down = ChannelTransport::new();
     let up = ChannelTransport::new();
     // Ack #1 (the first post-seed ack) is dropped on the up pipe.

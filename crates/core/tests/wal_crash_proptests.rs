@@ -4,17 +4,18 @@
 //! twin that only ever saw the durable prefix of the mutation stream.
 //! Recovery is never allowed to hard-error on a damaged tail.
 //!
-//! Also: the sharded durability round trip from the issue checklist —
-//! `FsyncPolicy::EveryN(8)`, kill without checkpoint, recover, and the
-//! answers must match a never-crashed twin for every key store.
+//! Also: the sharded durability round trip through the concurrent
+//! engine — `FsyncPolicy::EveryN(8)`, kill without checkpoint, recover,
+//! and the answers must match a never-crashed twin for every key store.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use planar_core::{
-    BPlusTree, Cmp, Corruption, DurablePlanarIndexSet, DurableShardedIndexSet, EytzingerStore,
-    FeatureTable, FsyncPolicy, IndexConfig, InequalityQuery, KeyStore, ParameterDomain,
-    PlanarIndexSet, ShardConfig, ShardedIndexSet, TempDir, TopKQuery, VecStore, WalOptions,
+    BPlusTree, Cmp, ConcurrencyConfig, ConcurrentShardedIndexSet, Corruption,
+    DurablePlanarIndexSet, EytzingerStore, FeatureTable, FsyncPolicy, IndexConfig, InequalityQuery,
+    KeyStore, ParameterDomain, PlanarIndexSet, ShardConfig, ShardedIndexSet, TempDir, TopKQuery,
+    VecStore, WalOptions,
 };
 use proptest::prelude::*;
 
@@ -301,17 +302,19 @@ proptest! {
     }
 }
 
-/// Sharded durability round trip (issue checklist): mutate a durable
-/// sharded set under `FsyncPolicy::EveryN(8)`, kill it without a
+/// Sharded durability round trip: mutate a durable sharded engine under
+/// `FsyncPolicy::EveryN(8)`, kill it without a
 /// checkpoint, recover, and compare every probe answer against a
 /// never-crashed in-memory twin. The unsynced tail survives a process
 /// kill (the OS still has the writes), so recovery must replay *all* of
 /// it.
-fn sharded_kill_recover_roundtrip<S: KeyStore + Send>(t: &Trace) {
+fn sharded_kill_recover_roundtrip<S: KeyStore + Clone + Send>(t: &Trace) {
     let tmp = TempDir::new("wal-shard-roundtrip").unwrap();
     let dir = tmp.path().join("idx");
     let opts = WalOptions::default().fsync(FsyncPolicy::EveryN(8));
-    let mut durable = DurableShardedIndexSet::create(&dir, build_sharded::<S>(t), opts).unwrap();
+    let cfg = ConcurrencyConfig::default();
+    let durable =
+        ConcurrentShardedIndexSet::create(&dir, build_sharded::<S>(t), opts, cfg).unwrap();
     let mut twin = build_sharded::<S>(t);
 
     // Sharded compaction preserves global ids, so the live list only
@@ -350,7 +353,8 @@ fn sharded_kill_recover_roundtrip<S: KeyStore + Send>(t: &Trace) {
     }
 
     drop(durable); // kill: no checkpoint, unsynced tail left behind
-    let (recovered, report) = ShardedIndexSet::<S>::open_durable(&dir, opts).unwrap();
+    let (recovered, report) = ConcurrentShardedIndexSet::<S>::open(&dir, opts, cfg).unwrap();
+    let recovered = recovered.snapshot();
     // Broadcast Compact lands once per shard (3 shards here).
     let expect_replayed = mutations + t.ops.iter().filter(|o| matches!(o, Op::Compact)).count() * 2;
     assert_eq!(report.wal_replayed, expect_replayed);

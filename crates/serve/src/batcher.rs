@@ -1,8 +1,8 @@
 //! The adaptive micro-batcher: the serving-side analogue of
 //! `query_batch`.
 //!
-//! Connection handlers decode requests and [`MicroBatcher::enqueue`]
-//! them; dispatcher threads coalesce the queue into
+//! Connection handlers decode requests and enqueue them on the
+//! [`MicroBatcher`]; dispatcher threads coalesce the queue into
 //! `query_batch_isolated` / `top_k_batch_isolated` calls against one
 //! epoch snapshot, so concurrent clients get the same batch-execution
 //! amortization (shard-major cache residency, one snapshot pin, one
@@ -37,14 +37,17 @@
 //! Each request may carry a deadline (µs from receipt). At dispatch the
 //! tightest deadline in the batch becomes the batch's
 //! [`ExecutionConfig::with_deadline`] budget; queries the engine could
-//! not start in time come back as [`ServedBy::Partial`] placeholders,
-//! which the batcher surfaces as `partial` provenance on the response —
-//! the engine's partial-answer contract carried end to end.
+//! not start in time come back as [`planar_core::ServedBy::Partial`]
+//! placeholders, which the batcher surfaces as `partial` provenance on
+//! the response — the engine's partial-answer contract carried end to
+//! end.
 
 use crate::metrics::ServerMetrics;
 use crate::wire::{error_code, Provenance, Response};
-use crate::Engine;
-use planar_core::{ExecutionConfig, InequalityQuery, PlanarError, StatsAggregator, TopKQuery};
+use planar_core::{
+    ConcurrentShardedIndexSet, ExecutionConfig, InequalityQuery, PlanarError, StatsAggregator,
+    TopKQuery, VecStore,
+};
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -106,8 +109,9 @@ struct Shared {
 
 /// The shared micro-batcher: many producers (connection handlers), one
 /// or more dispatcher threads draining into the engine.
-pub struct MicroBatcher<E> {
-    engine: Arc<E>,
+#[derive(Clone)]
+pub struct MicroBatcher {
+    engine: Arc<ConcurrentShardedIndexSet<VecStore>>,
     shared: Arc<Shared>,
     metrics: Arc<ServerMetrics>,
     stats: Arc<Mutex<StatsAggregator>>,
@@ -116,23 +120,9 @@ pub struct MicroBatcher<E> {
     max_queue: usize,
 }
 
-impl<E> Clone for MicroBatcher<E> {
-    fn clone(&self) -> Self {
-        Self {
-            engine: Arc::clone(&self.engine),
-            shared: Arc::clone(&self.shared),
-            metrics: Arc::clone(&self.metrics),
-            stats: Arc::clone(&self.stats),
-            policy: self.policy.clone(),
-            exec: self.exec,
-            max_queue: self.max_queue,
-        }
-    }
-}
-
-impl<E: Engine> MicroBatcher<E> {
+impl MicroBatcher {
     pub(crate) fn new(
-        engine: Arc<E>,
+        engine: Arc<ConcurrentShardedIndexSet<VecStore>>,
         policy: BatchPolicy,
         exec: ExecutionConfig,
         max_queue: usize,
@@ -384,7 +374,7 @@ impl<E: Engine> MicroBatcher<E> {
     pub(crate) fn metrics_json(&self) -> String {
         let engine_json = {
             let mut agg = self.stats.lock().expect("stats lock poisoned");
-            self.engine.record_lifecycle(&mut agg);
+            agg.record_engine(&self.engine);
             agg.snapshot().to_json()
         };
         planar_core::JsonObject::new()

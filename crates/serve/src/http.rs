@@ -26,7 +26,7 @@
 
 use crate::json::Json;
 use crate::wire::{error_code, Request, Response};
-use crate::{Engine, Inner};
+use crate::Inner;
 use planar_core::stats::json_f64;
 use planar_core::{Cmp, JsonObject};
 use std::io::{self, Read, Write};
@@ -41,11 +41,7 @@ const MAX_BODY: usize = 1024 * 1024;
 
 /// Serve one HTTP connection. `carry` holds bytes already consumed by
 /// protocol sniffing (the non-magic preamble).
-pub(crate) fn serve_conn<E: Engine>(
-    mut stream: TcpStream,
-    carry: Vec<u8>,
-    inner: &Inner<E>,
-) -> io::Result<()> {
+pub(crate) fn serve_conn(mut stream: TcpStream, carry: Vec<u8>, inner: &Inner) -> io::Result<()> {
     let mut buf = carry;
     let mut served = 0usize;
     loop {
@@ -150,10 +146,10 @@ enum Filled {
 
 /// Read more bytes, tolerating read timeouts while watching shutdown —
 /// and, when `idle_deadline` is set, the keep-alive idle cutoff.
-fn fill<E: Engine>(
+fn fill(
     stream: &mut TcpStream,
     buf: &mut Vec<u8>,
-    inner: &Inner<E>,
+    inner: &Inner,
     idle_deadline: Option<Instant>,
 ) -> io::Result<Filled> {
     let mut chunk = [0u8; 4096];
@@ -239,11 +235,11 @@ impl ParsedHead {
 /// Dispatch one parsed HTTP request and write the response. `close`
 /// announces `Connection: close` on the response (last request the
 /// server will serve on this connection).
-fn route<E: Engine>(
+fn route(
     stream: &mut TcpStream,
     head: &ParsedHead,
     body: &[u8],
-    inner: &Inner<E>,
+    inner: &Inner,
     close: bool,
 ) -> io::Result<()> {
     match (head.method.as_str(), head.path.as_str()) {

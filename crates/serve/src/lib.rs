@@ -1,13 +1,13 @@
 //! # planar-serve — a network front-end for the planar index
 //!
 //! A std-only, long-running query service wrapping the concurrent engine
-//! ([`planar_core::ConcurrentShardedIndexSet`] or its durable sibling):
+//! ([`planar_core::ConcurrentShardedIndexSet`], in-memory or durable):
 //! thread-per-connection on [`std::net::TcpListener`], one port, three
 //! wire surfaces sniffed from the first eight bytes —
 //!
 //! * the compact [`wire`] binary protocol (`PLNRQRY1` preamble, CRC-64
 //!   sealed frames via the shared [`planar_core::frame`] helpers);
-//! * a minimal [`http`] JSON surface (`GET /metrics`, `POST /query`,
+//! * a minimal HTTP JSON surface (`GET /metrics`, `POST /query`,
 //!   `POST /topk`);
 //! * the `PLNRSHP1` replication ship protocol ([`planar_core::SHIP_MAGIC`]
 //!   banner): the connection becomes a [`planar_core::ShipEndpoint`] the
@@ -70,9 +70,8 @@ pub use metrics::{LatencyHistogram, ServerMetrics};
 pub use wire::{error_code, Provenance, Request, Response};
 
 use planar_core::{
-    endpoint_pair, ConcurrentDurableShardedIndexSet, ConcurrentShardedIndexSet, ExecutionConfig,
-    InequalityQuery, ShardedIndexSet, ShipEndpoint, ShipEndpointDriver, Snapshot, StatsAggregator,
-    TopKQuery, VecStore, SHIP_MAGIC,
+    endpoint_pair, ConcurrentShardedIndexSet, ExecutionConfig, InequalityQuery, ShipEndpoint,
+    ShipEndpointDriver, StatsAggregator, TopKQuery, VecStore, SHIP_MAGIC,
 };
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -86,32 +85,6 @@ use std::time::{Duration, Instant};
 const IDLE_POLL: Duration = Duration::from_millis(50);
 /// Budget for reading the rest of a frame once its first byte arrived.
 const FRAME_READ_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// What the server needs from an engine: epoch-snapshot reads plus an
-/// optional hook to stamp lifecycle state (WAL, epochs, group commit)
-/// into the metrics aggregator at scrape time.
-pub trait Engine: Send + Sync + 'static {
-    /// Pin the current epoch for one coalesced batch.
-    fn snapshot(&self) -> Snapshot<ShardedIndexSet<VecStore>>;
-    /// Fold engine-lifecycle state into `agg` (no-op by default).
-    fn record_lifecycle(&self, _agg: &mut StatsAggregator) {}
-}
-
-impl Engine for ConcurrentShardedIndexSet<VecStore> {
-    fn snapshot(&self) -> Snapshot<ShardedIndexSet<VecStore>> {
-        ConcurrentShardedIndexSet::snapshot(self)
-    }
-}
-
-impl Engine for ConcurrentDurableShardedIndexSet<VecStore> {
-    fn snapshot(&self) -> Snapshot<ShardedIndexSet<VecStore>> {
-        ConcurrentDurableShardedIndexSet::snapshot(self)
-    }
-
-    fn record_lifecycle(&self, agg: &mut StatsAggregator) {
-        agg.record_durable_sharded(self);
-    }
-}
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -158,8 +131,8 @@ impl Default for ServeConfig {
 }
 
 /// Shared server state (batcher, admission, metrics, shutdown flag).
-pub(crate) struct Inner<E: Engine> {
-    pub(crate) batcher: MicroBatcher<E>,
+pub(crate) struct Inner {
+    pub(crate) batcher: MicroBatcher,
     pub(crate) admission: Admission,
     pub(crate) metrics: Arc<ServerMetrics>,
     pub(crate) shutdown: AtomicBool,
@@ -177,7 +150,7 @@ pub(crate) struct Inner<E: Engine> {
 
 /// Decode-independent request handling shared by both wire surfaces:
 /// admission, query construction, enqueue, response.
-pub(crate) fn process<E: Engine>(inner: &Inner<E>, req: Request) -> Response {
+pub(crate) fn process(inner: &Inner, req: Request) -> Response {
     let (work, tenant, deadline_us) = match req {
         Request::Metrics => {
             return Response::Metrics {
@@ -244,7 +217,10 @@ pub struct Server;
 impl Server {
     /// Start serving `engine` per `cfg`. Non-blocking: the accept loop
     /// runs on its own thread.
-    pub fn start<E: Engine>(engine: Arc<E>, cfg: ServeConfig) -> io::Result<ServerHandle> {
+    pub fn start(
+        engine: Arc<ConcurrentShardedIndexSet<VecStore>>,
+        cfg: ServeConfig,
+    ) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let metrics = Arc::new(ServerMetrics::new());
@@ -287,7 +263,7 @@ impl Server {
 
         Ok(ServerHandle {
             addr,
-            control: inner,
+            inner,
             accept: Some(accept),
             dispatchers,
         })
@@ -297,7 +273,7 @@ impl Server {
 /// Handle on a running server: its address, metrics, and shutdown.
 pub struct ServerHandle {
     addr: SocketAddr,
-    control: Arc<dyn Control>,
+    inner: Arc<Inner>,
     accept: Option<JoinHandle<()>>,
     dispatchers: Vec<JoinHandle<()>>,
 }
@@ -310,7 +286,7 @@ impl ServerHandle {
 
     /// Live server counters.
     pub fn metrics(&self) -> Arc<ServerMetrics> {
-        self.control.metrics_handle()
+        Arc::clone(&self.inner.metrics)
     }
 
     /// Claim the next replication connection sniffed off the listener
@@ -322,7 +298,7 @@ impl ServerHandle {
     pub fn accept_replica(&self, timeout: Duration) -> Option<ShipEndpoint> {
         let deadline = Instant::now() + timeout;
         loop {
-            if let Some(ep) = self.control.take_ship() {
+            if let Some(ep) = self.inner.take_ship() {
                 return Some(ep);
             }
             if Instant::now() >= deadline {
@@ -340,7 +316,7 @@ impl ServerHandle {
     }
 
     fn stop(&mut self) {
-        if self.control.signal_shutdown() {
+        if self.inner.signal_shutdown() {
             return; // already shut down
         }
         // Unblock the accept loop with a throwaway connection.
@@ -360,23 +336,9 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Object-safe control surface over [`Inner`] so [`ServerHandle`] need
-/// not be generic over the engine; the hot path stays monomorphized.
-trait Control: Send + Sync {
-    /// Shared metrics handle.
-    fn metrics_handle(&self) -> Arc<ServerMetrics>;
+impl Inner {
     /// Set the shutdown flag and wake the dispatchers; returns whether it
     /// was already set.
-    fn signal_shutdown(&self) -> bool;
-    /// Pop the next unclaimed replication endpoint, if any.
-    fn take_ship(&self) -> Option<ShipEndpoint>;
-}
-
-impl<E: Engine> Control for Inner<E> {
-    fn metrics_handle(&self) -> Arc<ServerMetrics> {
-        Arc::clone(&self.metrics)
-    }
-
     fn signal_shutdown(&self) -> bool {
         let was = self.shutdown.swap(true, Relaxed);
         if !was {
@@ -397,6 +359,7 @@ impl<E: Engine> Control for Inner<E> {
         was
     }
 
+    /// Pop the next unclaimed replication endpoint, if any.
     fn take_ship(&self) -> Option<ShipEndpoint> {
         self.ships
             .lock()
@@ -405,7 +368,7 @@ impl<E: Engine> Control for Inner<E> {
     }
 }
 
-fn accept_loop<E: Engine>(listener: TcpListener, inner: Arc<Inner<E>>) {
+fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
     loop {
         let (stream, _) = match listener.accept() {
             Ok(s) => s,
@@ -437,7 +400,7 @@ fn accept_loop<E: Engine>(listener: TcpListener, inner: Arc<Inner<E>>) {
 
 /// Tell an over-cap connection it is rejected, on whichever protocol it
 /// speaks, then close it.
-fn reject_conn<E: Engine>(mut stream: TcpStream, inner: &Inner<E>) {
+fn reject_conn(mut stream: TcpStream, inner: &Inner) {
     let _ = stream.set_read_timeout(Some(IDLE_POLL));
     let Ok(Some(preamble)) = read_preamble(&mut stream, inner) else {
         return;
@@ -465,10 +428,7 @@ fn reject_conn<E: Engine>(mut stream: TcpStream, inner: &Inner<E>) {
 /// Read the 8-byte protocol preamble, tolerating read timeouts while
 /// watching the shutdown flag. `Ok(None)` = connection closed early or
 /// shutdown.
-fn read_preamble<E: Engine>(
-    stream: &mut TcpStream,
-    inner: &Inner<E>,
-) -> io::Result<Option<[u8; 8]>> {
+fn read_preamble(stream: &mut TcpStream, inner: &Inner) -> io::Result<Option<[u8; 8]>> {
     let mut preamble = [0u8; 8];
     let mut got = 0;
     while got < preamble.len() {
@@ -493,7 +453,7 @@ fn read_preamble<E: Engine>(
 }
 
 /// Per-connection entry: sniff the protocol, then run its loop.
-fn handle_conn<E: Engine>(mut stream: TcpStream, inner: &Inner<E>) -> io::Result<()> {
+fn handle_conn(mut stream: TcpStream, inner: &Inner) -> io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(IDLE_POLL))?;
     let Some(preamble) = read_preamble(&mut stream, inner)? else {
@@ -516,7 +476,7 @@ fn handle_conn<E: Engine>(mut stream: TcpStream, inner: &Inner<E>) -> io::Result
 /// outbound queue. Framing violations close the connection — the dialing
 /// [`planar_core::TcpTransport`] reconnects and the replication layer
 /// heals by `Hello`/resume or re-seed.
-fn ship_loop<E: Engine>(mut stream: TcpStream, inner: &Inner<E>) -> io::Result<()> {
+fn ship_loop(mut stream: TcpStream, inner: &Inner) -> io::Result<()> {
     inner.metrics.ship_connections.fetch_add(1, Relaxed);
     let (endpoint, driver) = endpoint_pair();
     {
@@ -615,7 +575,7 @@ fn ship_writer(mut stream: TcpStream, driver: &ShipEndpointDriver, metrics: &Ser
 }
 
 /// The binary-protocol request loop: one frame in, one frame out.
-fn binary_loop<E: Engine>(mut stream: TcpStream, inner: &Inner<E>) -> io::Result<()> {
+fn binary_loop(mut stream: TcpStream, inner: &Inner) -> io::Result<()> {
     loop {
         // Wait for the next frame's first byte without holding a blocking
         // read, so shutdown is observed on idle connections.

@@ -509,8 +509,8 @@ pub fn decode_response(kind: u8, body: &[u8]) -> Option<Response> {
 ///
 /// Single copy: body and seal are read into one buffer, the CRC runs over
 /// the stack header and then that buffer, and the buffer is truncated to
-/// the body and returned. The buffer starts at no more than
-/// [`READ_CHUNK`] bytes and grows only as bytes actually arrive, so a
+/// the body and returned. The buffer starts at no more than one 64 KiB
+/// read chunk and grows only as bytes actually arrive, so a
 /// header that claims [`MAX_BODY`] and then stalls or hangs up costs the
 /// peer at most about a chunk of memory, not 16 MiB.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<(u8, Vec<u8>)>> {

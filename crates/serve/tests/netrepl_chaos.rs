@@ -18,7 +18,7 @@
 
 use planar_core::fault::{ChaosFault, ChaosProxy};
 use planar_core::{
-    elect, AckPolicy, Cmp, ConcurrencyConfig, ConcurrentDurableShardedIndexSet, FailoverConfig,
+    elect, AckPolicy, Cmp, ConcurrencyConfig, ConcurrentShardedIndexSet, FailoverConfig,
     FeatureTable, FsyncPolicy, IndexConfig, InequalityQuery, ParameterDomain, Primary,
     ReadConsistency, Replica, ShardConfig, ShardedIndexSet, TcpLinkOptions, TcpTransport, TempDir,
     VecStore, WalOptions,
@@ -63,12 +63,9 @@ fn link_opts() -> TcpLinkOptions {
     }
 }
 
-fn durable_store(
-    dir: &std::path::Path,
-    n: usize,
-) -> Arc<ConcurrentDurableShardedIndexSet<VecStore>> {
+fn durable_store(dir: &std::path::Path, n: usize) -> Arc<ConcurrentShardedIndexSet<VecStore>> {
     Arc::new(
-        ConcurrentDurableShardedIndexSet::create(
+        ConcurrentShardedIndexSet::create(
             dir,
             build_sharded(n),
             WalOptions::default().fsync(FsyncPolicy::EveryN(4)),
@@ -102,7 +99,7 @@ fn run_chaos_scenario(label: &str, inject: impl FnOnce(&planar_core::fault::Chao
     let ctl = proxy.ctl();
     inject(&ctl);
 
-    let mut primary = Primary::from_shared(Arc::clone(&store), FailoverConfig::default());
+    let mut primary = Primary::from_shared(Arc::clone(&store), FailoverConfig::default()).unwrap();
     let link = TcpTransport::new(proxy.addr(), link_opts());
     let mut replica = Replica::<VecStore>::new(
         rdir.path().join("r0"),
@@ -260,7 +257,7 @@ fn run_kill_scenario(kill_after: usize) {
     let store = durable_store(pdir.path(), 40);
     let server = Server::start(Arc::clone(&store), ServeConfig::default()).unwrap();
     let proxy = ChaosProxy::start(server.addr()).unwrap();
-    let mut primary = Primary::from_shared(Arc::clone(&store), FailoverConfig::default());
+    let mut primary = Primary::from_shared(Arc::clone(&store), FailoverConfig::default()).unwrap();
     primary.set_ack_policy(AckPolicy::Quorum(1));
 
     let mut replicas: Vec<Replica<VecStore>> = (0..2)

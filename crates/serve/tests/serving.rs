@@ -3,9 +3,9 @@
 //! admission rejections, both wire surfaces, and durable-engine metrics.
 
 use planar_core::{
-    Cmp, ConcurrencyConfig, ConcurrentDurableShardedIndexSet, ConcurrentShardedIndexSet,
-    ExecutionConfig, FeatureTable, FsyncPolicy, IndexConfig, InequalityQuery, ParameterDomain,
-    ShardConfig, ShardedIndexSet, TempDir, TopKQuery, VecStore, WalOptions,
+    Cmp, ConcurrencyConfig, ConcurrentShardedIndexSet, ExecutionConfig, FeatureTable, FsyncPolicy,
+    IndexConfig, InequalityQuery, ParameterDomain, ShardConfig, ShardedIndexSet, TempDir,
+    TopKQuery, VecStore, WalOptions,
 };
 use planar_serve::json::Json;
 use planar_serve::{
@@ -461,7 +461,7 @@ fn http_quota_maps_to_429_with_retry_after() {
 #[test]
 fn durable_engine_serves_and_reports_lifecycle_metrics() {
     let dir = TempDir::new("serve_durable").unwrap();
-    let store = ConcurrentDurableShardedIndexSet::create(
+    let store = ConcurrentShardedIndexSet::create(
         dir.path(),
         build_sharded(200),
         WalOptions::default().fsync(FsyncPolicy::EveryN(4)),
@@ -493,6 +493,36 @@ fn durable_engine_serves_and_reports_lifecycle_metrics() {
     let engine_block = doc.get("engine").expect("engine block present");
     assert!(engine_block.get("count").is_some());
     assert!(engine_block.get("wal_appended_lsn").is_some());
+    server.shutdown();
+}
+
+#[test]
+fn in_memory_engine_reports_its_epoch_ledger() {
+    let eng = engine(200);
+    let server = Server::start(Arc::clone(&eng), ServeConfig::default()).unwrap();
+    eng.insert_point(&[2.0, 3.0]).unwrap();
+
+    let mut client = Client::connect(server.addr()).unwrap();
+    let json = client.metrics().unwrap();
+    let doc = Json::parse(&json).unwrap();
+    let engine_block = doc.get("engine").expect("engine block present");
+    let field = |name: &str| engine_block.get(name).and_then(Json::as_u64);
+    assert!(field("epoch").unwrap() >= 2, "scrape: {json}");
+    assert!(field("epochs_published").unwrap() >= 1, "scrape: {json}");
+    // No WAL: its fields stay absent or zero, as before.
+    for name in [
+        "wal_segments",
+        "wal_unsynced_records",
+        "wal_last_lsn",
+        "wal_appended_lsn",
+        "wal_acked_lsn",
+        "wal_ack_lag",
+        "group_commit_fsyncs",
+        "group_commit_records",
+        "group_commit_max_group",
+    ] {
+        assert_eq!(field(name).unwrap_or(0), 0, "{name} in scrape: {json}");
+    }
     server.shutdown();
 }
 
@@ -543,7 +573,7 @@ fn replication_queries_and_metrics_share_one_port() {
     let rdir = TempDir::new("serve_ship_r").unwrap();
     let opts = WalOptions::default().fsync(FsyncPolicy::EveryN(4));
     let store = Arc::new(
-        ConcurrentDurableShardedIndexSet::create(
+        ConcurrentShardedIndexSet::create(
             pdir.path(),
             build_sharded(200),
             opts,
@@ -552,7 +582,7 @@ fn replication_queries_and_metrics_share_one_port() {
         .unwrap(),
     );
     let server = Server::start(Arc::clone(&store), ServeConfig::default()).unwrap();
-    let mut primary = Primary::from_shared(Arc::clone(&store), FailoverConfig::default());
+    let mut primary = Primary::from_shared(Arc::clone(&store), FailoverConfig::default()).unwrap();
 
     // The replica dials the same port every query client uses; the
     // PLNRSHP1 banner routes it to replication.
